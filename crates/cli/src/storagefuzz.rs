@@ -3,22 +3,32 @@
 //!
 //! Every iteration replays a random read/write stream through the batched
 //! serving front-end over three journaled Security RBSG banks, running the
-//! server engine's durable-before-ack contract against a [`DiskShelf`] on
-//! deterministic fault-injecting media ([`FaultyMedia`] over [`MemMedia`]).
-//! Iterations cycle through the whole fault matrix — short write,
-//! transient EIO (healed by retry or escalated to crash-restart),
-//! persistent ENOSPC (typed read-only degradation), a lying fsync
-//! (materialized at the next power cut), a failed commit rename, and
-//! at-rest bit rot discovered on reload — plus a fault-free control that
-//! must match the never-faulted reference bit for bit. Scheduled power
-//! cuts restart the stack through shelf load (scrub-healing rotten
-//! copies) and re-keyed journal recovery, resubmitting the writes of any
-//! save that failed.
+//! server engine's durable-before-ack contract — the same
+//! [`commit_with_healing`] per batch, log record or checkpoint — against a
+//! [`DiskShelf`] on deterministic fault-injecting media ([`FaultyMedia`]
+//! over [`MemMedia`]). Iterations cycle through the whole fault matrix —
+//! on checkpoint writes: short write, transient EIO (healed by retry or
+//! escalated to crash-restart), persistent ENOSPC (typed read-only
+//! degradation), a lying fsync (materialized at the next power cut), a
+//! failed commit rename, and at-rest bit rot in a checkpoint copy; on log
+//! appends: a short append (torn tail), transient EIO, ENOSPC, a lying
+//! fsync right after an append, and bit rot in a log copy — plus a
+//! fault-free control that must match the never-faulted reference bit for
+//! bit. Scheduled power cuts restart the stack through shelf load
+//! (healing a rotten checkpoint copy, reading a rotten log record from
+//! its twin, ignoring torn tails) and re-keyed journal recovery,
+//! resubmitting the writes of any commit that failed.
+//!
+//! Writes and appends share one fault count, so each iteration first
+//! runs its stream fault-free (a dry pass) to list the operations the
+//! shelf issues, then aims its lane's fault at one of that lane's
+//! operations: every armed plan fires.
 //!
 //! Invariants, on every iteration:
 //!
-//! * **no lost acknowledgments** — a write acked only after its shelf save
-//!   reads back intact at the end, across every injected fault and cut;
+//! * **no lost acknowledgments** — a write acked only after its shelf
+//!   commit reads back intact at the end, across every injected fault and
+//!   cut;
 //! * **equivalence** — unless the iteration degraded to read-only, the
 //!   recovered-then-continued system ends byte-identical to a reference
 //!   run that never faulted;
@@ -38,55 +48,200 @@ use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_parallel::splitmix64;
 use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
 use srbsg_persist::{
-    CheckpointPolicy, FaultKind, FaultPlan, FaultyMedia, Journaled, Media, MemMedia, SharedMedia,
+    CheckpointPolicy, FaultKind, FaultPlan, FaultyMedia, Journaled, Media, MediaError, MediaOp,
+    MemMedia, SharedMedia,
 };
 use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
 use srbsg_server::{
-    save_with_healing, BankShelf, DiskShelf, RetryPolicy, SaveOutcome, ServerScheme, ShelfScrub,
-    ShelfState, SHELF_SLOTS,
+    checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy, SaveOutcome,
+    ServerScheme, ShelfScrub, ShelfState, SHELF_LOGS, SHELF_SLOTS,
 };
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 const BANKS: usize = 3;
 
-/// The fault matrix, cycled by iteration index so every kind gets equal
-/// coverage; `None` is the fault-free control lane.
-const MODES: [Option<FaultKind>; 7] = [
-    None,
-    Some(FaultKind::ShortWrite),
-    Some(FaultKind::TransientIo),
-    Some(FaultKind::NoSpace),
-    Some(FaultKind::SyncLie),
-    Some(FaultKind::RenameFail),
-    Some(FaultKind::BitRot),
+/// Which operations a lane's fault lands on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// Checkpoint temporaries (media writes).
+    Write,
+    /// Log records (media appends).
+    Append,
+    /// Barriers that follow a checkpoint write, rename or log removal.
+    Sync,
+    /// Barriers that follow a log append.
+    AppendSync,
+    /// Checkpoint renames.
+    Rename,
+    /// The first power cut (rot), or nothing (the control lane).
+    FirstCut,
+}
+
+/// One lane of the fault matrix: a fault kind (`None` is the fault-free
+/// control), the operations it lands on, and for bit rot the files it
+/// may hit.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    kind: Option<FaultKind>,
+    name: &'static str,
+    target: Target,
+    rot_files: &'static [&'static str],
+}
+
+const fn mode(kind: FaultKind, name: &'static str, target: Target) -> Mode {
+    Mode {
+        kind: Some(kind),
+        name,
+        target,
+        rot_files: &[],
+    }
+}
+
+const fn rot(name: &'static str, files: &'static [&'static str]) -> Mode {
+    Mode {
+        kind: Some(FaultKind::BitRot),
+        name,
+        target: Target::FirstCut,
+        rot_files: files,
+    }
+}
+
+/// The fault matrix, cycled by iteration index so every lane gets equal
+/// coverage. Writes and appends share the write faults' `at_op` count,
+/// so the checkpoint-write and log-append lanes differ only in where
+/// they aim.
+const MODES: [Mode; 12] = [
+    Mode {
+        kind: None,
+        name: "none",
+        target: Target::FirstCut,
+        rot_files: &[],
+    },
+    mode(FaultKind::ShortWrite, "short_write", Target::Write),
+    mode(FaultKind::TransientIo, "transient_eio", Target::Write),
+    mode(FaultKind::NoSpace, "enospc", Target::Write),
+    mode(FaultKind::SyncLie, "sync_lie", Target::Sync),
+    mode(FaultKind::RenameFail, "rename_fail", Target::Rename),
+    rot("bit_rot", &SHELF_SLOTS),
+    mode(FaultKind::ShortWrite, "short_append", Target::Append),
+    mode(FaultKind::TransientIo, "append_eio", Target::Append),
+    mode(FaultKind::NoSpace, "append_enospc", Target::Append),
+    mode(FaultKind::SyncLie, "append_sync_lie", Target::AppendSync),
+    rot("log_rot", &SHELF_LOGS),
 ];
 
-fn mode_name(kind: Option<FaultKind>) -> &'static str {
-    kind.map_or("none", |k| k.name())
+/// A pass-through medium that notes, in order, every mutation and
+/// barrier the shelf issues.
+#[derive(Debug)]
+struct Recorder<M> {
+    inner: M,
+    ops: Arc<Mutex<Vec<MediaOp>>>,
+}
+
+impl<M: Media> Recorder<M> {
+    fn note(&self, op: MediaOp) {
+        self.ops.lock().expect("recorder lock").push(op);
+    }
+}
+
+impl<M: Media> Media for Recorder<M> {
+    fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, MediaError> {
+        self.inner.read(name)
+    }
+    fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.note(MediaOp::Write);
+        self.inner.write(name, bytes)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.note(MediaOp::Append);
+        self.inner.append(name, bytes)
+    }
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
+        self.note(MediaOp::Rename);
+        self.inner.rename(from, to)
+    }
+    fn remove(&mut self, name: &str) -> Result<(), MediaError> {
+        self.note(MediaOp::Remove);
+        self.inner.remove(name)
+    }
+    fn list(&mut self) -> Result<Vec<String>, MediaError> {
+        self.inner.list()
+    }
+    fn sync(&mut self) -> Result<(), MediaError> {
+        self.note(MediaOp::Sync);
+        self.inner.sync()
+    }
+}
+
+/// The `at_op` values, as [`FaultyMedia`] counts them from its creation,
+/// of the operations in `ops[from..]` that `target` names.
+fn positions(ops: &[MediaOp], from: usize, target: Target) -> Vec<u64> {
+    let (mut writes, mut syncs, mut renames) = (0u64, 0u64, 0u64);
+    let mut last = MediaOp::Write;
+    let mut out = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        let (at, hit) = match op {
+            MediaOp::Write | MediaOp::Append => {
+                writes += 1;
+                let want = if op == MediaOp::Write {
+                    Target::Write
+                } else {
+                    Target::Append
+                };
+                (writes, target == want)
+            }
+            MediaOp::Sync => {
+                syncs += 1;
+                let after_append = last == MediaOp::Append;
+                let want = if after_append {
+                    Target::AppendSync
+                } else {
+                    Target::Sync
+                };
+                (syncs, target == want)
+            }
+            MediaOp::Rename => {
+                renames += 1;
+                (renames, target == Target::Rename)
+            }
+            _ => (0, false),
+        };
+        if hit && i >= from {
+            out.push(at);
+        }
+        if op != MediaOp::Sync {
+            last = op;
+        }
+    }
+    out
 }
 
 /// What one fuzz iteration drew and measured. Contract violations panic
 /// the iteration (and `par_map` propagates the panic).
 #[derive(Debug, Clone)]
 struct FuzzOut {
-    kind: Option<FaultKind>,
+    mode: Mode,
     at_op: u64,
     burst: u64,
-    /// Whether the armed plan actually fired (a deep `at_op` can land
-    /// past the operations the stream produces — still a valid iteration,
-    /// the invariants just hold trivially).
+    /// Whether the armed plan actually fired (a lane whose operations
+    /// the dry pass never saw cannot — still a valid iteration, the
+    /// invariants just hold trivially).
     fired: bool,
     saves: u64,
     acked: u64,
-    /// Writes of failed saves reissued after a crash-restart.
+    /// Writes of failed commits reissued after a crash-restart.
     resubmitted: u64,
     lost_acked: u64,
-    /// Transient-retry attempts beyond the first that a healed save used.
+    /// Attempts beyond the first that a healed commit used: transient
+    /// retries, and failed appends the fallback checkpoint recovered.
     retried: u64,
-    /// Crash-restarts taken (failed save or scheduled power cut).
+    /// Crash-restarts taken (failed commit or scheduled power cut).
     restarts: u64,
-    /// Shelf copies healed by the load scrub (bit rot / torn slot).
+    /// Checkpoint copies healed by the load scrub (bit rot / torn slot).
     healed_slots: u64,
+    /// Log copies with a rotten record the load scrub read from the twin.
+    healed_logs: u64,
     read_only: bool,
     shed_read_only: u64,
     reads_after_read_only: u64,
@@ -145,29 +300,6 @@ fn fuzz_trace(rng: &mut StdRng, lines: u64, n: usize) -> Vec<Request> {
         .collect()
 }
 
-/// Snapshot the engine's durable image (mirrors the server's capture).
-fn capture(
-    fe: &FrontEnd<ServerScheme>,
-    save_seq: u64,
-    generation: u64,
-    seed: u64,
-    acked: u64,
-) -> ShelfState {
-    let sys = fe.system();
-    ShelfState {
-        save_seq,
-        generation,
-        seed,
-        now_ns: sys.now_ns(),
-        acked_writes: acked,
-        banks: sys
-            .banks()
-            .iter()
-            .map(|mc| BankShelf::capture(mc.scheme().store(), mc.bank()))
-            .collect(),
-    }
-}
-
 /// Restart from the shelf after a (simulated) power cut: load the newest
 /// valid copy (scrub-healing a damaged one), rebuild every bank through
 /// re-keyed journal recovery, and return the new front-end plus the scrub
@@ -205,6 +337,7 @@ struct Recovered {
     generation: u64,
     restarts: u64,
     healed_slots: u64,
+    healed_logs: u64,
     retried: u64,
     /// The new-generation commit itself hit persistent ENOSPC; the
     /// recovered device serves, but in read-only degradation.
@@ -226,12 +359,13 @@ fn cut_and_recover(
 ) -> Recovered {
     let mut restarts = 0u64;
     let mut healed_slots = 0u64;
+    let mut healed_logs = 0u64;
     let mut retried = 0u64;
     let mut saves = 0u64;
     loop {
         restarts += 1;
         handle.with(|m| m.power_cut());
-        let (fe, state, scrub) = restart(shelf, policy);
+        let (mut fe, state, scrub) = restart(shelf, policy);
         // A failed save may have committed its first slot before dying,
         // so the recovered image can run ahead of the acked counter —
         // never behind it.
@@ -240,10 +374,16 @@ fn cut_and_recover(
             "recovered shelf lost acked count"
         );
         healed_slots += u64::from(scrub.healed_slot.is_some());
+        healed_logs += u64::from(scrub.healed_log.is_some());
         let generation = state.generation + 1;
         let save_seq = state.save_seq + 1;
-        let commit = capture(&fe, save_seq, generation, dev_seed, acked);
-        match save_with_healing(shelf, &commit, retry) {
+        let stamp = CommitStamp {
+            save_seq,
+            generation,
+            seed: dev_seed,
+            acked_writes: acked,
+        };
+        match checkpoint_with_healing(shelf, fe.system_mut(), stamp, retry) {
             SaveOutcome::Saved { attempts } => {
                 retried += u64::from(attempts - 1);
                 saves += 1;
@@ -253,6 +393,7 @@ fn cut_and_recover(
                     generation,
                     restarts,
                     healed_slots,
+                    healed_logs,
                     retried,
                     read_only: false,
                     saves,
@@ -268,6 +409,7 @@ fn cut_and_recover(
                     generation: state.generation,
                     restarts,
                     healed_slots,
+                    healed_logs,
                     retried,
                     read_only: true,
                     saves,
@@ -278,28 +420,42 @@ fn cut_and_recover(
     }
 }
 
+/// What one iteration draws before it serves anything.
+struct Draw {
+    iter: u64,
+    policy: CheckpointPolicy,
+    dev_seed: u64,
+    /// The batch after whose commit the power is cut, if any.
+    cut_after: Option<u64>,
+    reqs: Vec<Request>,
+    batch: usize,
+}
+
+/// One pass of an iteration's stream over a fresh shelf.
+struct Pass {
+    out: FuzzOut,
+    fe: FrontEnd<ServerScheme>,
+    /// Every mutation and barrier the shelf issued, in order.
+    ops: Vec<MediaOp>,
+    /// How many of `ops` the fresh-boot checkpoint issued before the
+    /// plan armed.
+    armed_at: usize,
+}
+
 /// One fuzz iteration, end to end.
 fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     let mut rng = StdRng::seed_from_u64(0x5702_A6EF ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let kind = MODES[(iter as usize) % MODES.len()];
+    let mode = MODES[(iter as usize) % MODES.len()];
+    let kind = mode.kind;
     let policy = CheckpointPolicy::every_steps(8);
     let dev_seed = rng.random::<u64>();
     let nb = n.div_ceil(batch) as u64;
 
-    // The plan's `at_op` is an absolute 1-based index into the relevant
-    // operation category; a save is 2 writes, 2 renames, and 4 syncs, and
-    // one save runs per batch (plus the initial commit and any
-    // restart commits), so these ranges land inside the run.
+    // Which of the lane's operations the fault lands on; see below.
+    let pick = rng.random::<u64>();
     let plan = kind.map(|k| {
-        let mut p = match k {
-            FaultKind::ShortWrite | FaultKind::TransientIo | FaultKind::NoSpace => {
-                FaultPlan::new(k, 1 + rng.random::<u64>() % (2 * nb))
-            }
-            FaultKind::SyncLie => FaultPlan::new(k, 1 + rng.random::<u64>() % (4 * nb)),
-            FaultKind::RenameFail => FaultPlan::new(k, 1 + rng.random::<u64>() % (2 * nb)),
-            // Fires at the first power cut; a cut is always scheduled.
-            FaultKind::BitRot => FaultPlan::new(k, 1),
-        };
+        // Rot fires at the first power cut; a cut is always scheduled.
+        let mut p = FaultPlan::new(k, 1);
         p.seed = rng.random::<u64>();
         if k == FaultKind::TransientIo {
             // 1..=3 heals within the 4-attempt budget; 4..=6 exhausts it
@@ -307,17 +463,16 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
             p.burst = 1 + rng.random::<u64>() % 6;
         }
         if k == FaultKind::BitRot {
-            p.rot_file = SHELF_SLOTS[(rng.random::<u32>() % 2) as usize].to_string();
+            let files = mode.rot_files;
+            p.rot_file = files[rng.random::<u32>() as usize % files.len()].to_string();
             p.rot_bits = 1 + rng.random::<u32>() % 6;
         }
         p
     });
-    let at_op = plan.as_ref().map_or(0, |p| p.at_op);
-    let burst = plan.as_ref().map_or(0, |p| p.burst);
     // A power cut mid-stream: always for the kinds it materializes
     // (sync-lie, bit rot), occasionally everywhere else.
     let cut_after = match kind {
-        Some(FaultKind::SyncLie) | Some(FaultKind::BitRot) => Some(rng.random::<u64>() % nb),
+        Some(FaultKind::SyncLie | FaultKind::BitRot) => Some(rng.random::<u64>() % nb),
         _ => (rng.random::<u32>() % 4 == 0).then(|| rng.random::<u64>() % nb),
     };
 
@@ -331,8 +486,59 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         }
     }
 
+    let draw = Draw {
+        iter,
+        policy,
+        dev_seed,
+        cut_after,
+        reqs,
+        batch,
+    };
+    // A fault-free dry pass of the same stream and power cut lists the
+    // operations the shelf issues. Until the fault fires, the faulted
+    // pass issues exactly these, so a plan aimed at one of the lane's
+    // operations in the dry pass lands on it.
+    let plan = plan.map(|mut p| {
+        if mode.target != Target::FirstCut {
+            let dry = drive(&draw, mode, None);
+            let at = positions(&dry.ops, dry.armed_at, mode.target);
+            if !at.is_empty() {
+                p.at_op = at[(pick % at.len() as u64) as usize];
+            }
+        }
+        p
+    });
+    let Pass {
+        mut out, mut fe, ..
+    } = drive(&draw, mode, plan);
+    // Invariant 2: unless degraded read-only, recovered-then-continued
+    // equals never-faulted, everywhere.
+    out.equivalent = !out.read_only
+        && (0..lines).all(|la| {
+            fe.system_mut().try_read(la).expect("read").0
+                == reference.system_mut().try_read(la).expect("read").0
+        });
+    out
+}
+
+/// Serve `draw`'s stream through the engine's commit contract on a fresh
+/// faulty shelf with `plan` armed after the boot checkpoint, and audit
+/// the acknowledged writes at the end.
+fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
+    let Draw {
+        iter,
+        policy,
+        dev_seed,
+        cut_after,
+        ref reqs,
+        batch,
+    } = *draw;
     let handle = SharedMedia::new(FaultyMedia::new(MemMedia::new()));
-    let mut shelf = DiskShelf::with_media(Box::new(handle.clone()));
+    let ops = Arc::new(Mutex::new(Vec::new()));
+    let mut shelf = DiskShelf::with_media(Box::new(Recorder {
+        inner: handle.clone(),
+        ops: Arc::clone(&ops),
+    }));
     let retry = RetryPolicy {
         sleep: false,
         ..RetryPolicy::default()
@@ -340,11 +546,22 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     let mut fe = build(iter, policy);
     let mut save_seq = 1u64;
     let mut generation = 0u64;
-    // The fresh-boot commit runs fault-free; the plan arms after it so
+    // The fresh-boot checkpoint runs fault-free; the plan arms after it so
     // `at_op` counts operations under load.
-    shelf
-        .save(&capture(&fe, save_seq, generation, dev_seed, 0))
-        .expect("fresh-boot save cannot fault");
+    let boot = CommitStamp {
+        save_seq,
+        generation,
+        seed: dev_seed,
+        acked_writes: 0,
+    };
+    assert_eq!(
+        checkpoint_with_healing(&mut shelf, fe.system_mut(), boot, &retry),
+        SaveOutcome::Saved { attempts: 1 },
+        "fresh-boot save cannot fault"
+    );
+    let armed_at = ops.lock().expect("recorder lock").len();
+    let at_op = plan.as_ref().map_or(0, |p| p.at_op);
+    let burst = plan.as_ref().map_or(0, |p| p.burst);
     if let Some(p) = plan {
         handle.with(|m| m.set_plan(p));
     }
@@ -354,7 +571,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     // lives on exactly one bank.
     let mut last_acked: BTreeMap<u64, LineData> = BTreeMap::new();
     let mut out = FuzzOut {
-        kind,
+        mode,
         at_op,
         burst,
         fired: false,
@@ -365,6 +582,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         retried: 0,
         restarts: 0,
         healed_slots: 0,
+        healed_logs: 0,
         read_only: false,
         shed_read_only: 0,
         reads_after_read_only: 0,
@@ -378,13 +596,13 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         if fresh.is_none() && carry.is_empty() {
             break;
         }
-        // Writes of a failed save re-enter at the head of the batch, so
+        // Writes of a failed commit re-enter at the head of the batch, so
         // each address's write order matches the reference stream.
         let mut submit: Vec<Request> = std::mem::take(&mut carry);
         out.resubmitted += submit.len() as u64;
         submit.extend_from_slice(fresh.unwrap_or(&[]));
         let done = fe.submit_batch(submit.clone(), 1);
-        // Device-applied writes of this batch: acked only if the save
+        // Device-applied writes of this batch: acked only if the commit
         // that covers them lands (durable-before-ack).
         let mut pending: Vec<(u64, LineData)> = Vec::new();
         for (req, c) in submit.iter().zip(&done) {
@@ -411,15 +629,14 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
             bi += 1;
             continue;
         }
-        let snap = capture(
-            &fe,
-            save_seq + 1,
+        let stamp = CommitStamp {
+            save_seq: save_seq + 1,
             generation,
-            dev_seed,
-            out.acked + pending.len() as u64,
-        );
+            seed: dev_seed,
+            acked_writes: out.acked + pending.len() as u64,
+        };
         let mut saved = false;
-        match save_with_healing(&mut shelf, &snap, &retry) {
+        match commit_with_healing(&mut shelf, fe.system_mut(), stamp, &retry) {
             SaveOutcome::Saved { attempts } => {
                 out.retried += u64::from(attempts - 1);
                 save_seq += 1;
@@ -448,6 +665,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
                 let rec = cut_and_recover(&handle, &mut shelf, policy, dev_seed, out.acked, &retry);
                 out.restarts += rec.restarts;
                 out.healed_slots += rec.healed_slots;
+                out.healed_logs += rec.healed_logs;
                 out.retried += rec.retried;
                 out.saves += rec.saves;
                 fe = rec.fe;
@@ -479,6 +697,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
             let rec = cut_and_recover(&handle, &mut shelf, policy, dev_seed, out.acked, &retry);
             out.restarts += rec.restarts;
             out.healed_slots += rec.healed_slots;
+            out.healed_logs += rec.healed_logs;
             out.retried += rec.retried;
             out.saves += rec.saves;
             fe = rec.fe;
@@ -502,14 +721,13 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
             out.lost_acked += 1;
         }
     }
-    // Invariant 2: unless degraded read-only, recovered-then-continued
-    // equals never-faulted, everywhere.
-    out.equivalent = !out.read_only
-        && (0..lines).all(|la| {
-            fe.system_mut().try_read(la).expect("read").0
-                == reference.system_mut().try_read(la).expect("read").0
-        });
-    out
+    let ops = ops.lock().expect("recorder lock").clone();
+    Pass {
+        out,
+        fe,
+        ops,
+        armed_at,
+    }
 }
 
 pub fn run(opts: &Opts) {
@@ -539,6 +757,7 @@ pub fn run(opts: &Opts) {
             "retried",
             "restarts",
             "healed_slots",
+            "healed_logs",
             "read_only",
             "shed_read_only",
             "reads_after_ro",
@@ -551,19 +770,28 @@ pub fn run(opts: &Opts) {
     let mut retried_total = 0u64;
     let mut restart_total = 0u64;
     let mut healed_total = 0u64;
+    let mut healed_logs_total = 0u64;
     let mut ro_iters = 0u64;
     let mut shed_ro_total = 0u64;
     let mut reads_after_ro_total = 0u64;
     let mut all_equivalent = true;
     for (iter, out) in &results {
+        // The dry pass aims every plan at an operation the run issues.
+        assert_eq!(
+            out.fired,
+            out.mode.kind.is_some(),
+            "iter {iter}: the {} plan did not fire where the dry pass aimed it",
+            out.mode.name
+        );
         if out.fired {
-            *fired_by_kind.entry(mode_name(out.kind)).or_insert(0) += 1;
+            *fired_by_kind.entry(out.mode.name).or_insert(0) += 1;
         }
         lost_total += out.lost_acked;
         resub_total += out.resubmitted;
         retried_total += out.retried;
         restart_total += out.restarts;
         healed_total += out.healed_slots;
+        healed_logs_total += out.healed_logs;
         ro_iters += u64::from(out.read_only);
         shed_ro_total += out.shed_read_only;
         reads_after_ro_total += out.reads_after_read_only;
@@ -571,7 +799,7 @@ pub fn run(opts: &Opts) {
         all_equivalent &= out.equivalent || out.read_only;
         t.row(vec![
             iter.to_string(),
-            mode_name(out.kind).to_string(),
+            out.mode.name.to_string(),
             out.at_op.to_string(),
             out.burst.to_string(),
             out.fired.to_string(),
@@ -582,6 +810,7 @@ pub fn run(opts: &Opts) {
             out.retried.to_string(),
             out.restarts.to_string(),
             out.healed_slots.to_string(),
+            out.healed_logs.to_string(),
             out.read_only.to_string(),
             out.shed_read_only.to_string(),
             out.reads_after_read_only.to_string(),
@@ -595,8 +824,8 @@ pub fn run(opts: &Opts) {
     println!(
         "\nstoragefuzz: {iters} iterations completed; {fired_total} faults fired; \
          {retried_total} transient retries healed; {restart_total} crash-restarts; \
-         {resub_total} failed-save writes resubmitted; {healed_total} shelf copies \
-         scrub-healed; {ro_iters} read-only degradations ({shed_ro_total} writes shed, \
+         {resub_total} failed-commit writes resubmitted; {healed_total} checkpoint copies \
+         and {healed_logs_total} log copies scrub-healed; {ro_iters} read-only degradations ({shed_ro_total} writes shed, \
          {reads_after_ro_total} reads served after); {lost_total} acknowledged writes lost"
     );
 
@@ -607,11 +836,11 @@ pub fn run(opts: &Opts) {
         all_equivalent,
         "a recovered run diverged from never-faulted"
     );
-    for kind in MODES.into_iter().flatten() {
+    for mode in MODES.iter().filter(|m| m.kind.is_some()) {
         assert!(
-            fired_by_kind.get(kind.name()).copied().unwrap_or(0) > 0,
-            "fault kind {} never fired — the fuzz space is miscalibrated",
-            kind.name()
+            fired_by_kind.get(mode.name).copied().unwrap_or(0) > 0,
+            "fault lane {} never fired — the fuzz space is miscalibrated",
+            mode.name
         );
     }
     assert!(
@@ -619,7 +848,11 @@ pub fn run(opts: &Opts) {
         "no transient error was ever retried away"
     );
     assert!(restart_total > 0, "no crash-restart was ever taken");
-    assert!(healed_total > 0, "no rotten shelf copy was ever healed");
+    assert!(
+        healed_total > 0,
+        "no rotten checkpoint copy was ever healed"
+    );
+    assert!(healed_logs_total > 0, "no rotten log copy was ever healed");
     assert!(
         ro_iters > 0 && shed_ro_total > 0,
         "read-only degradation was never exercised"

@@ -39,6 +39,44 @@ pub struct PcmBank {
     sram_slot: Option<LineAddr>,
     /// Fault-injection machinery; `None` for the ideal (seed) device.
     faults: Option<FaultState>,
+    /// Slots touched since the last [`PcmBank::take_dirty`]; `None` unless
+    /// [`PcmBank::track_dirty`] turned tracking on.
+    dirty: Option<Box<DirtySlots>>,
+}
+
+/// A set of slots: a bitset for O(1) deduplication plus the list of set
+/// bits, so draining costs O(touched) rather than O(slots).
+#[derive(Debug, Clone)]
+struct DirtySlots {
+    bits: Vec<u64>,
+    list: Vec<LineAddr>,
+}
+
+impl DirtySlots {
+    fn new(slots: u64) -> Self {
+        Self {
+            bits: vec![0; slots.div_ceil(64) as usize],
+            list: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, slot: LineAddr) {
+        let bit = 1u64 << (slot % 64);
+        if let Some(word) = self.bits.get_mut((slot / 64) as usize) {
+            if *word & bit == 0 {
+                *word |= bit;
+                self.list.push(slot);
+            }
+        }
+    }
+
+    fn take(&mut self) -> Vec<LineAddr> {
+        for &slot in &self.list {
+            self.bits[(slot / 64) as usize] &= !(1u64 << (slot % 64));
+        }
+        std::mem::take(&mut self.list)
+    }
 }
 
 impl PcmBank {
@@ -57,6 +95,7 @@ impl PcmBank {
             failure: None,
             sram_slot: None,
             faults: None,
+            dirty: None,
         }
     }
 
@@ -150,6 +189,29 @@ impl PcmBank {
         self.sram_slot == Some(slot)
     }
 
+    /// Start recording which addressable slots [`PcmBank::write_line`],
+    /// [`PcmBank::write_line_bulk`] and [`PcmBank::add_wear`] touch, so a
+    /// persistence layer can save only those. Forgets anything recorded
+    /// so far. Off by default: an untracked bank pays one untaken branch
+    /// per write.
+    pub fn track_dirty(&mut self) {
+        self.dirty = Some(Box::new(DirtySlots::new(self.base_slots)));
+    }
+
+    /// The slots touched since tracking started or since the previous
+    /// call, in first-touch order, each once; recording continues with an
+    /// empty set. `None` when tracking is off.
+    pub fn take_dirty(&mut self) -> Option<Vec<LineAddr>> {
+        self.dirty.as_mut().map(|d| d.take())
+    }
+
+    #[inline]
+    fn mark_dirty(&mut self, slot: LineAddr) {
+        if let Some(d) = &mut self.dirty {
+            d.mark(slot);
+        }
+    }
+
     /// Number of physical line slots addressable by the wear-leveling
     /// scheme (spare lines provisioned by the fault model are hidden).
     #[inline]
@@ -235,6 +297,7 @@ impl PcmBank {
     /// Under data-comparison writes, a write of identical data costs only
     /// the comparison read and adds no wear.
     pub fn write_line(&mut self, slot: LineAddr, new: LineData) -> Ns {
+        self.mark_dirty(slot);
         if self.is_sram(slot) {
             self.data[slot as usize] = new;
             return self.timing.sram_ns as Ns;
@@ -290,6 +353,7 @@ impl PcmBank {
         if count == 0 {
             return 0;
         }
+        self.mark_dirty(slot);
         if self.is_sram(slot) {
             self.data[slot as usize] = new;
             return self.timing.sram_ns as Ns * count as Ns;
@@ -325,6 +389,7 @@ impl PcmBank {
     /// machinery (retry wear, ECP, retirement); retry latency is not
     /// accounted since the caller owns the clock.
     pub fn add_wear(&mut self, slot: LineAddr, amount: u64) {
+        self.mark_dirty(slot);
         if self.faults.is_some() {
             let slot = self.resolve_slot(slot);
             let data = self.data[slot as usize];
@@ -737,5 +802,23 @@ mod tests {
             }
         }
         assert!(b.failed(), "bank should eventually exhaust");
+    }
+
+    #[test]
+    fn dirty_tracking_records_each_touched_slot_once() {
+        let mut b = bank(130, 1_000);
+        b.write_line(1, LineData::Ones);
+        assert_eq!(b.take_dirty(), None, "tracking is off by default");
+        b.track_dirty();
+        b.write_line(129, LineData::Ones);
+        b.write_line_bulk(64, LineData::Mixed(3), 5);
+        b.add_wear(7, 2);
+        b.write_line(129, LineData::Zeros);
+        b.swap_lines(0, 64);
+        b.write_line_bulk(100, LineData::Ones, 0);
+        assert_eq!(b.take_dirty(), Some(vec![129, 64, 7, 0]));
+        assert_eq!(b.take_dirty(), Some(vec![]), "taking clears the set");
+        b.write_line(64, LineData::Ones);
+        assert_eq!(b.take_dirty(), Some(vec![64]));
     }
 }

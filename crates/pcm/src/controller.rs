@@ -134,6 +134,13 @@ impl<W: WearLeveler> MemoryController<W> {
         &self.bank
     }
 
+    /// The underlying bank, mutably — for bookkeeping that leaves the
+    /// bank's contents alone, such as [`PcmBank::take_dirty`]. Writing
+    /// through it bypasses the wear-leveling scheme.
+    pub fn bank_mut(&mut self) -> &mut PcmBank {
+        &mut self.bank
+    }
+
     /// The wear-leveling scheme (for white-box tests; attacks must not use
     /// this).
     pub fn scheme(&self) -> &W {

@@ -38,10 +38,12 @@ impl core::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// CRC-64/ECMA (reflected, polynomial `0xC96C5795D7870F42`) lookup table,
-/// built at compile time.
-const CRC64_TABLE: [u64; 256] = {
-    let mut table = [0u64; 256];
+/// CRC-64/ECMA (reflected, polynomial `0xC96C5795D7870F42`) slice-by-8
+/// lookup tables, built at compile time. `CRC64_TABLES[0]` is the classic
+/// bytewise table; `CRC64_TABLES[k]` advances a byte through `k` further
+/// zero bytes, so eight input bytes fold in with eight independent lookups.
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    let mut t = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -54,17 +56,41 @@ const CRC64_TABLE: [u64; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// CRC-64/ECMA over `bytes`.
+/// CRC-64/ECMA over `bytes` (the CRC-64/XZ parameterisation), eight bytes
+/// per step.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
     let mut crc = !0u64;
-    for &b in bytes {
-        crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let x = crc ^ u64::from_le_bytes(w.try_into().expect("chunks of eight"));
+        crc = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][((x >> 24) & 0xFF) as usize]
+            ^ t[3][((x >> 32) & 0xFF) as usize]
+            ^ t[2][((x >> 40) & 0xFF) as usize]
+            ^ t[1][((x >> 48) & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -79,6 +105,14 @@ impl Enc {
     /// A fresh, empty encoder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A fresh, empty encoder with room for `bytes` bytes, for callers
+    /// that know the encoded size up front.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Consume the encoder and return the accumulated bytes.
@@ -173,11 +207,46 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise reference the slice-by-8 [`crc64`] must match.
+    fn crc64_bytewise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc64_known_vector() {
         // CRC-64/XZ ("123456789") = 0x995DC9BBDF1939FA.
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(crc64_bytewise(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
+        // CRC-64/XZ of "The quick brown fox jumps over the lazy dog".
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc64(fox), 0x5B5E_B8C2_E54A_A1C4);
+        assert_eq!(crc64(fox), crc64_bytewise(fox));
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_reference() {
+        let mut s = 0x5EED_u64;
+        for len in (0..=67).chain([255, 256, 1023, 4097]) {
+            for _ in 0..4 {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        s = srbsg_parallel::splitmix64(s);
+                        s as u8
+                    })
+                    .collect();
+                assert_eq!(crc64(&bytes), crc64_bytewise(&bytes), "len {len}");
+                // Every alignment of the eight-byte steps against the input.
+                for start in 1..len.min(8) {
+                    let tail = &bytes[start..];
+                    assert_eq!(crc64(tail), crc64_bytewise(tail), "len {len} +{start}");
+                }
+            }
+        }
     }
 
     #[test]

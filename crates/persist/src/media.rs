@@ -19,9 +19,9 @@
 //!   **and the directory itself**, propagating failures instead of
 //!   discarding them;
 //! * [`FaultyMedia`] — a wrapper around any medium with a seeded,
-//!   deterministic [`FaultPlan`]: short writes, transient EIO, persistent
-//!   ENOSPC, fsync-reported-success-then-lost, rename failure, and
-//!   post-crash bit rot;
+//!   deterministic [`FaultPlan`]: short writes and appends (torn tails),
+//!   transient EIO, persistent ENOSPC, fsync-reported-success-then-lost,
+//!   rename failure, and post-crash bit rot;
 //! * [`SharedMedia`] — a cloneable handle so a harness can keep arming
 //!   faults and cutting power on a medium another component owns;
 //! * [`Store::save_to`]/[`Store::load_from`] — the persistence `Store`
@@ -50,6 +50,8 @@ pub enum MediaOp {
     Read,
     /// Creating or replacing a file.
     Write,
+    /// Appending to the end of a file.
+    Append,
     /// Renaming a file (the commit point of atomic replacement).
     Rename,
     /// Removing a file.
@@ -65,6 +67,7 @@ impl core::fmt::Display for MediaOp {
         let s = match self {
             MediaOp::Read => "read",
             MediaOp::Write => "write",
+            MediaOp::Append => "append",
             MediaOp::Rename => "rename",
             MediaOp::Remove => "remove",
             MediaOp::List => "list",
@@ -184,6 +187,16 @@ pub trait Media: std::fmt::Debug + Send {
     /// Create or replace a file's entire contents.
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError>;
 
+    /// Append `bytes` to the end of a file, creating it if absent. Like
+    /// [`Media::write`], the bytes join the durable image only at the next
+    /// successful [`Media::sync`]. The default rewrites the whole file;
+    /// media that can append in place override it.
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        let mut whole = self.read(name)?.unwrap_or_default();
+        whole.extend_from_slice(bytes);
+        self.write(name, &whole)
+    }
+
     /// Atomically rename `from` onto `to` — the commit point of atomic
     /// replacement. `to` is replaced if present.
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError>;
@@ -256,6 +269,14 @@ impl Media for MemMedia {
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
         self.current.insert(name.to_string(), bytes.to_vec());
+        Ok(())
+    }
+
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.current
+            .entry(name.to_string())
+            .or_default()
+            .extend_from_slice(bytes);
         Ok(())
     }
 
@@ -349,6 +370,18 @@ impl Media for DirMedia {
         Ok(())
     }
 
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        use std::io::Write as _;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.dir.join(name))
+            .map_err(io_err(MediaOp::Append))?;
+        file.write_all(bytes).map_err(io_err(MediaOp::Append))?;
+        self.mark_dirty(name);
+        Ok(())
+    }
+
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
         std::fs::rename(self.dir.join(from), self.dir.join(to)).map_err(io_err(MediaOp::Rename))?;
         self.dirty.retain(|d| d != from && d != to);
@@ -404,14 +437,15 @@ impl Media for DirMedia {
 /// What kind of storage fault a [`FaultPlan`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The `at_op`-th write persists only a seeded prefix and reports
-    /// [`MediaError::ShortWrite`].
+    /// The `at_op`-th write or append persists only a seeded prefix (for
+    /// an append, a torn tail) and reports [`MediaError::ShortWrite`].
     ShortWrite,
-    /// Starting at the `at_op`-th write, `burst` consecutive writes fail
-    /// with [`MediaError::TransientIo`], then the medium works again.
+    /// Starting at the `at_op`-th write or append, `burst` consecutive
+    /// writes or appends fail with [`MediaError::TransientIo`], then the
+    /// medium works again.
     TransientIo,
-    /// From the `at_op`-th write on, every write fails with
-    /// [`MediaError::NoSpace`] until [`FaultyMedia::free_space`].
+    /// From the `at_op`-th write or append on, every write and append
+    /// fails with [`MediaError::NoSpace`] until [`FaultyMedia::free_space`].
     NoSpace,
     /// The `at_op`-th sync reports success without syncing: data written
     /// since the last honest barrier is silently at risk and vanishes at
@@ -441,15 +475,16 @@ impl FaultKind {
 
 /// A deterministic, seeded fault schedule for [`FaultyMedia`]. One plan
 /// injects one fault (the single-fault-per-run model); `at_op` counts
-/// operations of the kind's own category (writes for write faults, syncs
-/// for the fsync lie, renames for rename failure, power cuts for rot).
+/// operations of the kind's own category (writes and appends together for
+/// write faults, syncs for the fsync lie, renames for rename failure,
+/// power cuts for rot).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// What to inject.
     pub kind: FaultKind,
     /// Which operation of the relevant category triggers it (1-based).
     pub at_op: u64,
-    /// [`FaultKind::TransientIo`]: consecutive failing writes.
+    /// [`FaultKind::TransientIo`]: consecutive failing writes or appends.
     pub burst: u64,
     /// Seed for short-write lengths and rot bit positions.
     pub seed: u64,
@@ -496,6 +531,7 @@ pub struct FaultStats {
 pub struct FaultyMedia<M> {
     inner: M,
     plan: Option<FaultPlan>,
+    /// Writes and appends, counted together.
     writes_seen: u64,
     syncs_seen: u64,
     renames_seen: u64,
@@ -555,17 +591,17 @@ impl<M: Media> FaultyMedia<M> {
             _ => None,
         }
     }
-}
 
-impl<M: Media> Media for FaultyMedia<M> {
-    fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, MediaError> {
-        self.inner.read(name)
-    }
-
-    fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+    /// The write-fault schedule, shared by writes and appends: both count
+    /// toward `at_op`, so one plan can land on either.
+    fn write_or_append(&mut self, op: MediaOp, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        let put = |m: &mut M, b: &[u8]| match op {
+            MediaOp::Append => m.append(name, b),
+            _ => m.write(name, b),
+        };
         if self.no_space {
             self.stats.failed_ops += 1;
-            return Err(MediaError::NoSpace { op: MediaOp::Write });
+            return Err(MediaError::NoSpace { op });
         }
         self.writes_seen += 1;
         if let Some(p) = self.take_if(FaultKind::ShortWrite, self.writes_seen) {
@@ -577,7 +613,7 @@ impl<M: Media> Media for FaultyMedia<M> {
             } else {
                 splitmix64(p.seed ^ self.writes_seen) as usize % bytes.len()
             };
-            self.inner.write(name, &bytes[..keep])?;
+            put(&mut self.inner, &bytes[..keep])?;
             return Err(MediaError::ShortWrite {
                 written: keep as u64,
                 expected: bytes.len() as u64,
@@ -590,15 +626,29 @@ impl<M: Media> Media for FaultyMedia<M> {
         if self.transient_left > 0 {
             self.transient_left -= 1;
             self.stats.failed_ops += 1;
-            return Err(MediaError::TransientIo { op: MediaOp::Write });
+            return Err(MediaError::TransientIo { op });
         }
         if self.take_if(FaultKind::NoSpace, self.writes_seen).is_some() {
             self.stats.fired += 1;
             self.stats.failed_ops += 1;
             self.no_space = true;
-            return Err(MediaError::NoSpace { op: MediaOp::Write });
+            return Err(MediaError::NoSpace { op });
         }
-        self.inner.write(name, bytes)
+        put(&mut self.inner, bytes)
+    }
+}
+
+impl<M: Media> Media for FaultyMedia<M> {
+    fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, MediaError> {
+        self.inner.read(name)
+    }
+
+    fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.write_or_append(MediaOp::Write, name, bytes)
+    }
+
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.write_or_append(MediaOp::Append, name, bytes)
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
@@ -699,6 +749,9 @@ impl<M: Media> Media for SharedMedia<M> {
     }
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
         self.with(|m| m.write(name, bytes))
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.with(|m| m.append(name, bytes))
     }
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
         self.with(|m| m.rename(from, to))
@@ -841,6 +894,125 @@ mod tests {
         m.power_cut();
         assert_eq!(m.read("a").unwrap().unwrap(), b"one");
         assert_eq!(m.read("b").unwrap(), None);
+    }
+
+    #[test]
+    fn append_extends_and_is_durable_only_after_sync() {
+        let mut m = MemMedia::new();
+        m.append("log", b"ab").unwrap();
+        m.sync().unwrap();
+        m.append("log", b"cd").unwrap();
+        assert_eq!(m.read("log").unwrap().unwrap(), b"abcd");
+        m.power_cut();
+        assert_eq!(m.read("log").unwrap().unwrap(), b"ab");
+    }
+
+    /// A medium that only implements the required methods, so `append`
+    /// runs the trait's default.
+    #[derive(Debug, Default)]
+    struct Plain(MemMedia);
+
+    impl Media for Plain {
+        fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, MediaError> {
+            self.0.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+            self.0.write(name, bytes)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
+            self.0.rename(from, to)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), MediaError> {
+            self.0.remove(name)
+        }
+        fn list(&mut self) -> Result<Vec<String>, MediaError> {
+            self.0.list()
+        }
+        fn sync(&mut self) -> Result<(), MediaError> {
+            self.0.sync()
+        }
+    }
+
+    #[test]
+    fn default_append_matches_the_in_place_ones() {
+        let dir = std::env::temp_dir().join(format!("srbsg_append_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let media: Vec<Box<dyn Media>> = vec![
+            Box::new(Plain::default()),
+            Box::new(MemMedia::new()),
+            Box::new(DirMedia::open(&dir, true).unwrap()),
+            Box::new(SharedMedia::new(FaultyMedia::new(MemMedia::new()))),
+        ];
+        for mut m in media {
+            m.append("log", b"one").unwrap();
+            m.append("log", b"two").unwrap();
+            m.sync().unwrap();
+            assert_eq!(m.read("log").unwrap().unwrap(), b"onetwo", "{m:?}");
+            m.write("log", b"").unwrap();
+            m.append("log", b"3").unwrap();
+            assert_eq!(m.read("log").unwrap().unwrap(), b"3", "{m:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_faults_count_writes_and_appends_together() {
+        // Short write landing on an append: a strict prefix lands as a
+        // torn tail.
+        let mut m = FaultyMedia::new(MemMedia::new());
+        m.set_plan(FaultPlan::new(FaultKind::ShortWrite, 3));
+        m.write("other", b"writes count too").unwrap();
+        m.append("log", b"first").unwrap();
+        match m.append("log", b"second").unwrap_err() {
+            MediaError::ShortWrite { written, expected } => {
+                assert_eq!(expected, 6);
+                let log = m.read("log").unwrap().unwrap();
+                assert_eq!(log.len() as u64, 5 + written);
+                assert!(log.starts_with(b"first"));
+            }
+            other => panic!("expected a short append, got {other:?}"),
+        }
+
+        // Transient EIO: a burst over appends and writes, then healthy.
+        let mut m = FaultyMedia::new(MemMedia::new());
+        let mut plan = FaultPlan::new(FaultKind::TransientIo, 1);
+        plan.burst = 2;
+        m.set_plan(plan);
+        assert_eq!(
+            m.append("log", b"x").unwrap_err(),
+            MediaError::TransientIo {
+                op: MediaOp::Append
+            }
+        );
+        assert!(m.write("f", b"x").unwrap_err().is_transient());
+        m.append("log", b"x").unwrap();
+
+        // ENOSPC: persistent for appends and writes alike.
+        let mut m = FaultyMedia::new(MemMedia::new());
+        m.set_plan(FaultPlan::new(FaultKind::NoSpace, 1));
+        assert!(m.append("log", b"x").unwrap_err().is_no_space());
+        assert!(m.write("f", b"x").unwrap_err().is_no_space());
+        assert_eq!(m.stats().fired, 1);
+    }
+
+    #[test]
+    fn sync_lie_after_an_append_loses_the_unsynced_tail() {
+        let mut m = FaultyMedia::new(MemMedia::new());
+        m.set_plan(FaultPlan::new(FaultKind::SyncLie, 2));
+        m.append("log", b"a").unwrap();
+        m.sync().unwrap(); // honest
+        m.append("log", b"b").unwrap();
+        m.sync().unwrap(); // lies
+        assert_eq!(m.stats().lied_syncs, 1);
+        m.power_cut();
+        assert_eq!(m.read("log").unwrap().unwrap(), b"a");
+        // The doubled barrier survives the lie.
+        m.set_plan(FaultPlan::new(FaultKind::SyncLie, 3));
+        m.append("log", b"b").unwrap();
+        m.sync().unwrap(); // lies
+        m.sync().unwrap(); // honest
+        m.power_cut();
+        assert_eq!(m.read("log").unwrap().unwrap(), b"ab");
     }
 
     #[test]

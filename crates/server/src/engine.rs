@@ -20,11 +20,16 @@
 //!
 //! # Durability contract
 //!
-//! The engine persists the whole device image (shelf save, atomic rename)
-//! after every batch that acknowledged at least one write, **before** any
-//! of that batch's responses are handed to writer threads. `WriteOk` on
-//! the wire therefore implies the write is recoverable, which is exactly
-//! the invariant the chaos harness audits across `SIGKILL`.
+//! After every batch that acknowledged at least one write, and **before**
+//! any of that batch's responses are handed to writer threads, the engine
+//! commits the batch to the shelf ([`commit_with_healing`]): one record
+//! holding the slots the batch touched and the journal bytes it appended,
+//! appended to both copies of the shelf's delta log behind a doubled
+//! barrier. When the log has grown to the size of the device image, the
+//! commit writes a full checkpoint instead (dual-slot atomic rename) and
+//! empties the log. `WriteOk` on the wire therefore implies the write is
+//! recoverable, which is exactly the invariant the chaos harness audits
+//! across `SIGKILL`.
 //!
 //! # Drain state machine
 //!
@@ -32,8 +37,8 @@
 //! sender → connection readers answer new requests with
 //! [`ErrCode::ShuttingDown`], wait for their in-flight responses to
 //! flush, and close → once the last sender is gone the engine's queue
-//! disconnects → the engine runs [`FrontEnd::drain_checkpoint`], saves
-//! the shelf a final time, and the process exits 0.
+//! disconnects → the engine runs [`FrontEnd::drain_checkpoint`],
+//! checkpoints the shelf a final time, and the process exits 0.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -55,7 +60,9 @@ use crate::proto::{
     encode_response, ErrCode, FrameReader, RequestFrame, ResponseFrame, StatsWire, WireRequest,
     WireResponse,
 };
-use crate::shelf::{save_with_healing, BankShelf, DiskShelf, RetryPolicy, SaveOutcome, ShelfState};
+use crate::shelf::{
+    checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy, SaveOutcome,
+};
 
 /// The scheme stack a server bank runs.
 pub type ServerScheme = Journaled<SecurityRbsg>;
@@ -141,7 +148,7 @@ pub struct BootReport {
     /// Shelf save counter committed at boot; the engine continues from
     /// the next value.
     pub save_seq: u64,
-    /// Whether the load scrub healed a damaged shelf copy.
+    /// Whether the load scrub healed a damaged checkpoint or log copy.
     pub healed_shelf_slot: bool,
 }
 
@@ -233,25 +240,15 @@ fn policy(cfg: &ServerConfig) -> CheckpointPolicy {
     CheckpointPolicy::every_steps(cfg.checkpoint_every)
 }
 
-fn capture(
-    fe: &FrontEnd<ServerScheme>,
-    save_seq: u64,
-    generation: u64,
-    seed: u64,
-    acked: u64,
-) -> ShelfState {
-    let sys = fe.system();
-    ShelfState {
-        save_seq,
-        generation,
-        seed,
-        now_ns: sys.now_ns(),
-        acked_writes: acked,
-        banks: sys
-            .banks()
-            .iter()
-            .map(|mc| BankShelf::capture(mc.scheme().store(), mc.bank()))
-            .collect(),
+/// Checkpoint a freshly built or recovered device before it serves.
+fn boot_checkpoint(
+    shelf: &mut DiskShelf,
+    fe: &mut FrontEnd<ServerScheme>,
+    stamp: CommitStamp,
+) -> std::io::Result<()> {
+    match checkpoint_with_healing(shelf, fe.system_mut(), stamp, &RetryPolicy::default()) {
+        SaveOutcome::Saved { .. } => Ok(()),
+        SaveOutcome::ReadOnly(e) | SaveOutcome::Failed(e) => Err(e.into()),
     }
 }
 
@@ -280,12 +277,17 @@ pub fn boot(
                     )
                 })
                 .collect();
-            let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
+            let mut fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
             let report = BootReport {
                 save_seq: 1,
                 ..BootReport::default()
             };
-            shelf.save(&capture(&fe, 1, 0, cfg.seed, 0))?;
+            let stamp = CommitStamp {
+                save_seq: 1,
+                seed: cfg.seed,
+                ..CommitStamp::default()
+            };
+            boot_checkpoint(&mut shelf, &mut fe, stamp)?;
             Ok((fe, shelf, report))
         }
         Some((state, scrub)) => {
@@ -299,13 +301,18 @@ pub fn boot(
                         .unwrap_or_else(|| "unknown damage".into()),
                 );
             }
+            if let Some(copy) = scrub.healed_log {
+                eprintln!(
+                    "srbsg-server: shelf scrub read rotten log copy {copy}'s records from its twin"
+                );
+            }
             let generation = state.generation + 1;
             let mut report = BootReport {
                 generation,
                 recovered: true,
                 acked_writes: state.acked_writes,
                 save_seq: state.save_seq + 1,
-                healed_shelf_slot: scrub.healed_slot.is_some(),
+                healed_shelf_slot: scrub.healed_slot.is_some() || scrub.healed_log.is_some(),
                 ..BootReport::default()
             };
             let mut banks = Vec::with_capacity(state.banks.len());
@@ -327,14 +334,14 @@ pub fn boot(
                 mc.advance_clock(state.now_ns);
                 banks.push(mc);
             }
-            let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
-            shelf.save(&capture(
-                &fe,
-                report.save_seq,
+            let mut fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
+            let stamp = CommitStamp {
+                save_seq: report.save_seq,
                 generation,
-                state.seed,
-                state.acked_writes,
-            ))?;
+                seed: state.seed,
+                acked_writes: state.acked_writes,
+            };
+            boot_checkpoint(&mut shelf, &mut fe, stamp)?;
             Ok((fe, shelf, report))
         }
     }
@@ -380,10 +387,7 @@ fn clamp_ns(ns: Ns) -> u64 {
 struct EngineState {
     fe: FrontEnd<ServerScheme>,
     shelf: DiskShelf,
-    generation: u64,
-    seed: u64,
-    acked_writes: u64,
-    save_seq: u64,
+    stamp: CommitStamp,
     read_only: bool,
 }
 
@@ -430,21 +434,23 @@ fn engine_loop(
             .filter(|(c, m)| c.result.is_ok() && matches!(m.op, Op::Write(_)))
             .count() as u64;
         // Acks must not outrun durability: a batch with fresh write acks
-        // is saved *before* its responses dispatch, with self-healing —
-        // transient media errors are retried away; persistent ENOSPC
-        // degrades the tier to typed read-only shedding; anything else
-        // refuses the acks and drains.
+        // is committed *before* its responses dispatch, with self-healing
+        // — a failed append falls back to a checkpoint, transient media
+        // errors are retried away; persistent ENOSPC degrades the tier to
+        // typed read-only shedding; anything else refuses the acks and
+        // drains.
         let mut persist_failed = false;
         let mut entered_read_only = false;
         if new_acks > 0 {
-            st.acked_writes += new_acks;
-            st.save_seq += 1;
-            let snap = capture(&st.fe, st.save_seq, st.generation, st.seed, st.acked_writes);
-            match save_with_healing(&mut st.shelf, &snap, &RetryPolicy::default()) {
+            let committed = st.stamp;
+            st.stamp.acked_writes += new_acks;
+            st.stamp.save_seq += 1;
+            let policy = RetryPolicy::default();
+            match commit_with_healing(&mut st.shelf, st.fe.system_mut(), st.stamp, &policy) {
                 SaveOutcome::Saved { attempts } => {
                     if attempts > 1 {
                         eprintln!(
-                            "srbsg-server: shelf save healed after {attempts} attempts (transient media errors)"
+                            "srbsg-server: shelf commit healed after {attempts} attempts (media errors)"
                         );
                     }
                 }
@@ -452,16 +458,14 @@ fn engine_loop(
                     eprintln!(
                         "srbsg-server: shelf out of space ({e}); degrading to read-only serving"
                     );
-                    st.acked_writes -= new_acks;
-                    st.save_seq -= 1;
+                    st.stamp = committed;
                     entered_read_only = true;
                     st.read_only = true;
                     st.fe.set_read_only(true);
                 }
                 SaveOutcome::Failed(e) => {
-                    eprintln!("srbsg-server: shelf save failed, draining: {e}");
-                    st.acked_writes -= new_acks;
-                    st.save_seq -= 1;
+                    eprintln!("srbsg-server: shelf commit failed, draining: {e}");
+                    st.stamp = committed;
                     persist_failed = true;
                     os::request_shutdown();
                 }
@@ -517,16 +521,17 @@ fn engine_loop(
         }
     }
 
-    // Drain finale: compact journals into checkpoints and commit the
+    // Drain finale: compact journals into checkpoints and checkpoint the
     // final image. Reached only when every connection has flushed. A
     // read-only tier tolerates the final save failing for space — its
-    // durable state is exactly the last successful save, by construction.
+    // durable state is exactly the last successful commit, by
+    // construction.
     st.fe
         .drain_checkpoint()
         .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
-    st.save_seq += 1;
-    let finale = capture(&st.fe, st.save_seq, st.generation, st.seed, st.acked_writes);
-    match save_with_healing(&mut st.shelf, &finale, &RetryPolicy::default()) {
+    st.stamp.save_seq += 1;
+    let policy = RetryPolicy::default();
+    match checkpoint_with_healing(&mut st.shelf, st.fe.system_mut(), st.stamp, &policy) {
         SaveOutcome::Saved { .. } => Ok(()),
         SaveOutcome::ReadOnly(e) if st.read_only => {
             eprintln!("srbsg-server: final save skipped, shelf still out of space: {e}");
@@ -760,10 +765,12 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
         let st = EngineState {
             fe,
             shelf,
-            generation: boot_report.generation,
-            seed: cfg.seed,
-            acked_writes: boot_report.acked_writes,
-            save_seq: boot_report.save_seq,
+            stamp: CommitStamp {
+                save_seq: boot_report.save_seq,
+                generation: boot_report.generation,
+                seed: cfg.seed,
+                acked_writes: boot_report.acked_writes,
+            },
             read_only: false,
         };
         let shared = shared.clone();
@@ -862,7 +869,15 @@ mod tests {
             .collect();
         let comps = fe.submit_batch(reqs, 1);
         assert!(comps.iter().all(|c| c.result.is_ok()));
-        shelf.save(&capture(&fe, 2, 0, cfg.seed, 8)).unwrap();
+        let stamp = CommitStamp {
+            save_seq: 2,
+            seed: cfg.seed,
+            acked_writes: 8,
+            ..CommitStamp::default()
+        };
+        let policy = RetryPolicy::default();
+        let outcome = commit_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
+        assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 }, "a log append");
         let expect: Vec<LineData> = (0..lines)
             .map(|la| fe.system_mut().try_read(la).unwrap().0)
             .collect();
@@ -884,8 +899,15 @@ mod tests {
     fn recovery_rekeys_the_mapping() {
         let cfg = test_cfg(&format!("srbsg_rekey_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cfg.data_dir);
-        let (fe, mut shelf, _) = boot(&cfg).unwrap();
-        shelf.save(&capture(&fe, 2, 0, cfg.seed, 0)).unwrap();
+        let (mut fe, mut shelf, _) = boot(&cfg).unwrap();
+        let stamp = CommitStamp {
+            save_seq: 2,
+            seed: cfg.seed,
+            ..CommitStamp::default()
+        };
+        let policy = RetryPolicy::default();
+        let outcome = checkpoint_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
+        assert!(matches!(outcome, SaveOutcome::Saved { .. }));
         drop(fe);
         let (_fe2, _s, rep) = boot(&cfg).unwrap();
         assert!(rep.recovered);

@@ -15,9 +15,10 @@
 //!   threads multiplexed onto the `srbsg-serve` front-end, with
 //!   read/write deadlines, idle and slow-loris timeouts, bounded
 //!   connection and in-flight limits with typed overload shedding, and a
-//!   durable-before-ack shelf save on every write batch;
-//! * **crash survival** ([`shelf`]): the whole device image — persistence
-//!   stores, PCM contents, wear, clock — committed by atomic rename, so
+//!   durable-before-ack shelf commit on every write batch;
+//! * **crash survival** ([`shelf`]): the device image — persistence
+//!   stores, PCM contents, wear, clock — as a checkpoint committed by
+//!   atomic rename plus a twin delta log of per-batch records, so
 //!   `SIGKILL` at any instant leaves a recoverable state and restart
 //!   re-keys the Security RBSG mapping exactly as the paper prescribes
 //!   after a power cycle;
@@ -43,6 +44,7 @@ pub use proto::{
     FrameReader, RequestFrame, ResponseFrame, StatsWire, WireRequest, WireResponse,
 };
 pub use shelf::{
-    save_with_healing, BankShelf, DiskShelf, RetryPolicy, SaveOutcome, ShelfError, ShelfScrub,
-    ShelfState, SHELF_SLOTS,
+    checkpoint_with_healing, commit_with_healing, save_with_healing, BankShelf, CommitStamp,
+    DiskShelf, RetryPolicy, SaveOutcome, ShelfError, ShelfScrub, ShelfState, SHELF_LOGS,
+    SHELF_SLOTS,
 };

@@ -9,22 +9,46 @@
 //! the in-memory medium, or a deterministic fault injector
 //! ([`srbsg_persist::FaultyMedia`]).
 //!
-//! Because real media also *rot* (at-rest bit flips discovered only on
-//! reload), the shelf keeps **two** full copies of the state, `state.a`
-//! and `state.b`, each replaced by write-to-temp + rename with a
-//! durability barrier between the data write and the commit rename. A save
-//! returns only after both slots hold the new state and a **doubled**
-//! commit barrier has succeeded — under the single-fault model, one lying
-//! fsync can never leave a reported-durable save unflushed, because an
-//! honest barrier always runs after the last mutation. On load,
-//! [`DiskShelf::load`] CRC-validates both slots, serves the newest valid
-//! one, and **heals** a damaged slot by rewriting it from the survivor
-//! (the scrub is reported to the operator, typed as corruption vs
-//! truncation).
+//! The shelf holds a **checkpoint** — the whole device image — plus a
+//! **delta log** of the commits since it:
+//!
+//! * Every batch that acknowledges a write appends one CRC-framed record
+//!   to *both* log copies, `log.a` and `log.b`, then runs a **doubled**
+//!   barrier ([`commit_with_healing`]). A record carries the commit's
+//!   counters, the `(slot, data, wear)` of every slot the batch touched
+//!   (the banks' dirty sets, [`srbsg_pcm::PcmBank::take_dirty`]), and each
+//!   bank's [`Store`] delta: the journal bytes appended since the previous
+//!   commit, or the whole small store after a journal checkpoint. So a
+//!   commit writes O(batch) bytes, not O(device).
+//! * When the log would reach the size of the checkpoint image, the
+//!   commit writes a new checkpoint instead and empties both logs. Write
+//!   amplification stays within 2× and a load replays at most one image's
+//!   worth of records. Boot and the drain finale always checkpoint.
+//! * The checkpoint keeps two full copies, `state.a` and `state.b`, each
+//!   replaced by write-to-temp + barrier + rename, then a doubled barrier
+//!   ([`DiskShelf::save`]).
+//!
+//! Under the single-fault model, one lying fsync can never leave a
+//! reported-durable commit unflushed, because an honest barrier always
+//! runs after the last mutation; one rotten copy of a checkpoint or of a
+//! log record is served from its twin. A failed append falls back to a
+//! full checkpoint, so a torn record never sits before a committed one
+//! and no dirty slot is lost.
+//!
+//! [`DiskShelf::load`] CRC-validates both checkpoint copies and serves the
+//! newest valid one, then folds in the log records that follow it. The
+//! scrub rewrites a damaged checkpoint copy from its twin, takes a rotten
+//! log record from the other log copy, ignores an uncommitted torn tail,
+//! and reports what it found (typed as corruption vs truncation); damage
+//! to both copies of anything committed is a typed [`ShelfError::Decode`],
+//! never a plausible-but-wrong state. Load never rewrites a log copy: a
+//! crash during such a rewrite could cut committed records out of the
+//! copy it trusted. The checkpoint that follows every load (boot,
+//! recovery) replaces both logs instead.
 //!
 //! Ordering contract with the serving path: a write is acknowledged to
-//! the client only **after** the shelf save that contains it returns, so
-//! "acked" implies "on the shelf, twice" implies "recoverable". A save
+//! the client only **after** the commit that contains it returns, so
+//! "acked" implies "on the shelf, twice" implies "recoverable". A commit
 //! that fails is never acked; [`save_with_healing`] classifies the
 //! failure — retry transient EIO with capped backoff, degrade to typed
 //! read-only on persistent ENOSPC, refuse otherwise.
@@ -33,19 +57,24 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use srbsg_pcm::{LineData, Ns, PcmBank};
+use srbsg_pcm::{LineData, MultiBankSystem, Ns, PcmBank};
 use srbsg_persist::{
     crc64, decode_line_data, encode_line_data, Dec, DirMedia, Enc, Media, MediaError, PersistError,
     Store,
 };
 
+use crate::engine::ServerScheme;
+
 const MAGIC: u64 = 0x5342_5347_5348_4C46; // "SBSGSHLF"
 const VERSION: u32 = 2;
 
-/// The two state copies on the medium (dual-slot rot tolerance).
+/// The two checkpoint copies on the medium (dual-slot rot tolerance).
 pub const SHELF_SLOTS: [&str; 2] = ["state.a", "state.b"];
 
 const SHELF_TMPS: [&str; 2] = ["state.a.tmp", "state.b.tmp"];
+
+/// The two copies of the delta log on the medium.
+pub const SHELF_LOGS: [&str; 2] = ["log.a", "log.b"];
 
 /// Durable image of one bank: its persistence store plus the PCM array
 /// contents the store's journal refers to.
@@ -97,16 +126,45 @@ impl BankShelf {
         bank
     }
 
-    fn encode(&self, enc: &mut Enc) {
-        for part in [
-            &self.store.slots[0],
-            &self.store.slots[1],
-            &self.store.marker,
-            &self.store.journal,
-        ] {
+    fn store_parts(store: &Store) -> [&Vec<u8>; 4] {
+        [
+            &store.slots[0],
+            &store.slots[1],
+            &store.marker,
+            &store.journal,
+        ]
+    }
+
+    fn encode_store(store: &Store, enc: &mut Enc) {
+        for part in Self::store_parts(store) {
             enc.u64(part.len() as u64);
             enc.bytes(part);
         }
+    }
+
+    fn decode_store(dec: &mut Dec) -> Result<Store, PersistError> {
+        let mut part = || -> Result<Vec<u8>, PersistError> {
+            let len = dec.u64()? as usize;
+            Ok(dec.take(len)?.to_vec())
+        };
+        Ok(Store {
+            slots: [part()?, part()?],
+            marker: part()?,
+            journal: part()?,
+        })
+    }
+
+    fn encoded_len(&self) -> usize {
+        let store: usize = Self::store_parts(&self.store)
+            .iter()
+            .map(|p| 8 + p.len())
+            .sum();
+        let sram = if self.sram_slot.is_some() { 9 } else { 1 };
+        store + 8 + self.data.len() * LINE_DATA_BYTES + self.wear.len() * 8 + sram
+    }
+
+    fn encode(&self, enc: &mut Enc) {
+        Self::encode_store(&self.store, enc);
         enc.u64(self.slots);
         for &d in &self.data {
             encode_line_data(enc, d);
@@ -124,20 +182,7 @@ impl BankShelf {
     }
 
     fn decode(dec: &mut Dec) -> Result<Self, PersistError> {
-        let mut parts = Vec::with_capacity(4);
-        for _ in 0..4 {
-            let len = dec.u64()? as usize;
-            parts.push(dec.take(len)?.to_vec());
-        }
-        let journal = parts.pop().unwrap();
-        let marker = parts.pop().unwrap();
-        let slot1 = parts.pop().unwrap();
-        let slot0 = parts.pop().unwrap();
-        let store = Store {
-            slots: [slot0, slot1],
-            marker,
-            journal,
-        };
+        let store = Self::decode_store(dec)?;
         let slots = dec.u64()?;
         if slots > 1 << 32 {
             return Err(PersistError::Corrupt("implausible bank slot count"));
@@ -165,14 +210,32 @@ impl BankShelf {
     }
 }
 
+/// Bytes [`encode_line_data`] writes per line.
+const LINE_DATA_BYTES: usize = 5;
+
+/// The engine's counters a commit stamps on the shelf.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommitStamp {
+    /// Monotonic commit counter (see [`ShelfState::save_seq`]).
+    pub save_seq: u64,
+    /// Restart generation (see [`ShelfState::generation`]).
+    pub generation: u64,
+    /// The configured base Security RBSG seed.
+    pub seed: u64,
+    /// Writes acknowledged over the server's lifetime, this commit's
+    /// included.
+    pub acked_writes: u64,
+}
+
 /// Durable image of the whole server device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShelfState {
-    /// Monotonic save counter. Both slots carry the same `save_seq` after
-    /// a complete save; after a crash between the two slot renames they
-    /// differ by one, and load picks the newest valid copy. Acknowledged
-    /// writes are always covered by the *older* of the two (acks go out
-    /// only after both slots land), so either choice loses nothing acked.
+    /// Monotonic commit counter: one per checkpoint or log record. Both
+    /// checkpoint copies carry the same `save_seq` after a complete save;
+    /// after a crash between the two slot renames they differ, and load
+    /// picks the newest valid copy. Acknowledged writes are always covered
+    /// by the *older* of the two (acks go out only after both slots land),
+    /// so either choice loses nothing acked.
     pub save_seq: u64,
     /// Restart generation: 0 for a fresh store, +1 per recovery. Feeds
     /// the re-key seed so every power session maps differently.
@@ -188,8 +251,26 @@ pub struct ShelfState {
 }
 
 impl ShelfState {
+    /// Capture the whole durable image of a serving device, stamped with
+    /// the engine's counters.
+    pub fn capture(sys: &MultiBankSystem<ServerScheme>, stamp: CommitStamp) -> Self {
+        Self {
+            save_seq: stamp.save_seq,
+            generation: stamp.generation,
+            seed: stamp.seed,
+            now_ns: sys.now_ns(),
+            acked_writes: stamp.acked_writes,
+            banks: sys
+                .banks()
+                .iter()
+                .map(|mc| BankShelf::capture(mc.scheme().store(), mc.bank()))
+                .collect(),
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let len = 64 + self.banks.iter().map(BankShelf::encoded_len).sum::<usize>() + 8;
+        let mut enc = Enc::with_capacity(len);
         enc.u64(MAGIC);
         enc.u32(VERSION);
         enc.u64(self.save_seq);
@@ -205,6 +286,7 @@ impl ShelfState {
         let mut bytes = enc.into_bytes();
         let crc = crc64(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(bytes.len(), len, "checkpoint size estimate is exact");
         bytes
     }
 
@@ -248,6 +330,150 @@ impl ShelfState {
             banks,
         })
     }
+
+    /// Fold one log record (the payload of a whole frame) into the image.
+    /// Record layout:
+    ///
+    /// ```text
+    /// save_seq u64 | now_ns (hi u64, lo u64) | acked_writes u64 | banks u32
+    /// per bank: dirty u32 | dirty × (slot u64 | line data | wear u64)
+    ///           | 0u8 journal-suffix (len u64 | bytes) or 1u8 whole store
+    /// ```
+    fn apply_record(&mut self, payload: &[u8]) -> Result<(), PersistError> {
+        let mut dec = Dec::new(payload);
+        self.save_seq = dec.u64()?;
+        let now_hi = dec.u64()?;
+        let now_lo = dec.u64()?;
+        self.now_ns = ((now_hi as Ns) << 64) | now_lo as Ns;
+        self.acked_writes = dec.u64()?;
+        if dec.u32()? as usize != self.banks.len() {
+            return Err(PersistError::Corrupt("shelf log record bank count"));
+        }
+        for bank in &mut self.banks {
+            let dirty = dec.u32()?;
+            for _ in 0..dirty {
+                let slot = dec.u64()?;
+                if slot >= bank.slots {
+                    return Err(PersistError::Corrupt("shelf log slot out of range"));
+                }
+                bank.data[slot as usize] = decode_line_data(&mut dec)?;
+                bank.wear[slot as usize] = dec.u64()?;
+            }
+            match dec.u8()? {
+                0 => {
+                    let len = dec.u64()? as usize;
+                    bank.store.journal.extend_from_slice(dec.take(len)?);
+                }
+                1 => bank.store = BankShelf::decode_store(&mut dec)?,
+                _ => return Err(PersistError::Corrupt("bad shelf log store tag")),
+            }
+        }
+        dec.finish()
+    }
+}
+
+/// Log frame: `len u32 | check u32 | payload (len bytes) | crc64 u64`,
+/// where `check` is the low half of the CRC of the length bytes. Checking
+/// the header on its own tells a torn tail (whole header, payload cut
+/// short) from rot in the length field.
+const FRAME_OVERHEAD: usize = 16;
+
+fn frame_check(len: u32) -> u32 {
+    crc64(&len.to_le_bytes()) as u32
+}
+
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("shelf log record under 4 GiB");
+    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&frame_check(len).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc64(payload).to_le_bytes());
+    out
+}
+
+/// What one log copy holds at an offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Frame {
+    /// The copy ends here.
+    End,
+    /// An append cut short: the frame runs past the end of the copy.
+    Torn,
+    /// A header or payload that fails its check.
+    Rotten,
+    /// A valid frame of this many bytes, header and CRC included.
+    Whole(usize),
+}
+
+fn frame_at(log: &[u8], off: usize) -> Frame {
+    let rest = log.get(off..).unwrap_or_default();
+    if rest.is_empty() {
+        return Frame::End;
+    }
+    let Some(header) = rest.get(..8) else {
+        return Frame::Torn;
+    };
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    if u32::from_le_bytes(header[4..].try_into().unwrap()) != frame_check(len) {
+        return Frame::Rotten;
+    }
+    let total = len as usize + FRAME_OVERHEAD;
+    let Some(whole) = rest.get(..total) else {
+        return Frame::Torn;
+    };
+    let (body, crc) = whole.split_at(total - 8);
+    if crc64(&body[8..]) == u64::from_le_bytes(crc.try_into().unwrap()) {
+        Frame::Whole(total)
+    } else {
+        Frame::Rotten
+    }
+}
+
+/// The log as load reconstructs it from its two copies.
+struct MergedLog {
+    /// The payloads of the whole frames, in order, each as the copy it
+    /// validates in and its byte range there.
+    payloads: Vec<(usize, std::ops::Range<usize>)>,
+    /// A copy that had a rotten frame its twin held whole.
+    rotten_copy: Option<usize>,
+    /// Whether either copy had bytes past the last whole frame.
+    dropped_tail: bool,
+}
+
+/// Walk both log copies in step. Every commit appends identical bytes to
+/// both, so frames sit at the same offsets; where one copy is rotten the
+/// other's frame is taken. A record commits only once it is whole in both
+/// copies, so the log ends at the first offset where either copy is torn
+/// or ended: that record never committed and is ignored. Both copies
+/// rotten at one offset is committed data lost — a typed error.
+fn merge_logs(copies: &[Vec<u8>; 2]) -> Result<MergedLog, PersistError> {
+    let mut merged = MergedLog {
+        payloads: Vec::new(),
+        rotten_copy: None,
+        dropped_tail: false,
+    };
+    let mut off = 0;
+    loop {
+        let at = [frame_at(&copies[0], off), frame_at(&copies[1], off)];
+        let src = match at {
+            [Frame::Whole(_), Frame::Whole(_) | Frame::Rotten] => 0,
+            [Frame::Rotten, Frame::Whole(_)] => 1,
+            [Frame::Rotten, Frame::Rotten] => {
+                return Err(PersistError::Corrupt("both shelf log copies rotten"))
+            }
+            _ => break,
+        };
+        if at[1 - src] == Frame::Rotten {
+            merged.rotten_copy = Some(1 - src);
+        }
+        let Frame::Whole(len) = at[src] else {
+            unreachable!("src holds a whole frame")
+        };
+        merged.payloads.push((src, off + 8..off + len - 8));
+        off += len;
+    }
+    merged.dropped_tail = copies.iter().any(|c| c.len() > off);
+    Ok(merged)
 }
 
 /// Why a shelf operation failed — typed, so the boot path and the
@@ -257,8 +483,9 @@ impl ShelfState {
 pub enum ShelfError {
     /// The medium itself failed (see the typed [`MediaError`]).
     Media(MediaError),
-    /// Both state copies are present but neither decodes; the error is
-    /// the primary slot's, distinguishing corruption from truncation.
+    /// Neither copy of the checkpoint, or of a committed log record,
+    /// decodes; for the checkpoint the error is the primary slot's,
+    /// distinguishing corruption from truncation.
     Decode(PersistError),
 }
 
@@ -291,16 +518,42 @@ pub struct ShelfScrub {
     /// Why the healed copy was unusable — [`PersistError::Truncated`] for
     /// a torn file, [`PersistError::Corrupt`] for rot.
     pub damage: Option<PersistError>,
+    /// Index into [`SHELF_LOGS`] of a log copy with a rotten record, which
+    /// load took from the twin. The copy stays as it is until the next
+    /// checkpoint replaces both logs.
+    pub healed_log: Option<usize>,
+    /// Whether the log ended in an uncommitted record (a torn or
+    /// half-written append), which load ignored.
+    pub dropped_tail: bool,
     /// Stale temporaries (from a save that died between create and
     /// rename) removed on open.
     pub stale_tmps_removed: u32,
 }
 
 impl ShelfScrub {
-    /// Whether the scrub changed anything on the medium.
+    /// Whether the scrub found anything to repair or ignore.
     pub fn healed(&self) -> bool {
-        self.healed_slot.is_some() || self.stale_tmps_removed > 0
+        self.healed_slot.is_some()
+            || self.healed_log.is_some()
+            || self.dropped_tail
+            || self.stale_tmps_removed > 0
     }
+}
+
+/// What the shelf knows about its delta log since the last checkpoint.
+#[derive(Debug, Default)]
+struct LogCursor {
+    /// Whether records may be appended: a checkpoint landed and no append
+    /// failed since, so the log holds only whole, committed records.
+    open: bool,
+    /// Bytes in each log copy.
+    bytes: u64,
+    /// Bytes of the checkpoint image: the log's budget before the next.
+    budget: u64,
+    /// Per bank, the store the log already covers, as (journal
+    /// checkpoints installed, journal length); `None` makes the next
+    /// record carry the whole store.
+    stores: Vec<Option<(u64, usize)>>,
 }
 
 /// Handle on the medium holding the server's durable state.
@@ -308,11 +561,12 @@ impl ShelfScrub {
 pub struct DiskShelf {
     media: Box<dyn Media>,
     dir: PathBuf,
+    log: LogCursor,
 }
 
 impl DiskShelf {
     /// Open (creating if needed) the data directory at `dir` as the
-    /// backing medium. With `fsync`, every save is flushed through the
+    /// backing medium. With `fsync`, every commit is flushed through the
     /// page cache — needed to survive power loss, not needed to survive
     /// process kills. Stale temporaries left by a save that died between
     /// create and rename are removed here.
@@ -321,6 +575,7 @@ impl DiskShelf {
         let mut shelf = Self {
             media: Box::new(media),
             dir: dir.to_path_buf(),
+            log: LogCursor::default(),
         };
         shelf.sweep_tmps().map_err(io::Error::from)?;
         Ok(shelf)
@@ -332,6 +587,7 @@ impl DiskShelf {
         let mut shelf = Self {
             media,
             dir: PathBuf::new(),
+            log: LogCursor::default(),
         };
         // Media errors here surface on the first save/load instead.
         let _ = shelf.sweep_tmps();
@@ -356,16 +612,21 @@ impl DiskShelf {
         self.dir.join(name)
     }
 
-    /// Replace both state copies with `state` and barrier.
+    /// Checkpoint: replace both state copies with `state`, barrier, and
+    /// empty the delta log.
     ///
     /// Protocol, per slot: write the temporary, barrier (the data must be
     /// durable before the commit), rename onto the slot. After both
     /// slots: **two** barriers — the doubled commit barrier means a
     /// single lying fsync can never leave a reported-durable save
     /// unflushed, because at least one honest barrier always runs after
-    /// the last mutation. Any error aborts the save; the caller must not
-    /// acknowledge the writes it covers (see [`save_with_healing`]).
+    /// the last mutation. Then both log copies are removed; that removal
+    /// need not be durable, since any record it would resurrect is at or
+    /// below `state.save_seq` and load skips it. Any error aborts the
+    /// save; the caller must not acknowledge the writes it covers (see
+    /// [`save_with_healing`]).
     pub fn save(&mut self, state: &ShelfState) -> Result<(), MediaError> {
+        self.log.open = false;
         let bytes = state.encode();
         for (slot, tmp) in SHELF_SLOTS.iter().zip(SHELF_TMPS) {
             self.media.write(tmp, &bytes)?;
@@ -374,19 +635,148 @@ impl DiskShelf {
         }
         self.media.sync()?;
         self.media.sync()?;
+        for log in SHELF_LOGS {
+            self.media.remove(log)?;
+        }
+        self.log = LogCursor {
+            open: true,
+            bytes: 0,
+            budget: bytes.len() as u64,
+            stores: vec![None; state.banks.len()],
+        };
         Ok(())
     }
 
-    /// Load the newest valid state copy, scrubbing on the way in:
-    /// `Ok(None)` when the medium holds no state at all (fresh start).
+    /// Build the framed log record committing `sys` at `stamp`, draining
+    /// every bank's dirty set. `None` when the commit must be a
+    /// checkpoint instead: the log is closed, a bank was not tracking its
+    /// dirty slots yet (tracking starts now), or the log would reach the
+    /// checkpoint image's size.
+    fn delta_record(
+        &mut self,
+        sys: &mut MultiBankSystem<ServerScheme>,
+        stamp: CommitStamp,
+    ) -> Option<Vec<u8>> {
+        let mut ok = self.log.open && self.log.stores.len() == sys.bank_count();
+        let now = sys.now_ns();
+        let mut enc = Enc::new();
+        enc.u64(stamp.save_seq);
+        enc.u64((now >> 64) as u64);
+        enc.u64(now as u64);
+        enc.u64(stamp.acked_writes);
+        enc.u32(sys.bank_count() as u32);
+        for (b, mc) in sys.banks_mut().iter_mut().enumerate() {
+            let Some(dirty) = mc.bank_mut().take_dirty() else {
+                mc.bank_mut().track_dirty();
+                ok = false;
+                continue;
+            };
+            if !ok {
+                continue;
+            }
+            enc.u32(dirty.len() as u32);
+            for slot in dirty {
+                enc.u64(slot);
+                encode_line_data(&mut enc, mc.bank().read_line(slot));
+                enc.u64(mc.bank().wear_of(slot));
+            }
+            let scheme = mc.scheme();
+            let (store, ckpts) = (scheme.store(), scheme.checkpoints_installed());
+            match self.log.stores[b] {
+                Some((c, len)) if c == ckpts && len <= store.journal.len() => {
+                    enc.u8(0);
+                    enc.u64((store.journal.len() - len) as u64);
+                    enc.bytes(&store.journal[len..]);
+                }
+                _ => {
+                    enc.u8(1);
+                    BankShelf::encode_store(store, &mut enc);
+                }
+            }
+            self.log.stores[b] = Some((ckpts, store.journal.len()));
+        }
+        let record = frame(enc.as_bytes());
+        (ok && self.log.bytes + (record.len() as u64) < self.log.budget).then_some(record)
+    }
+
+    /// Append one framed record to both log copies, then the doubled
+    /// barrier. A failure closes the log until the next checkpoint.
+    fn append_record(&mut self, record: &[u8]) -> Result<(), MediaError> {
+        self.log.open = false;
+        for log in SHELF_LOGS {
+            self.media.append(log, record)?;
+        }
+        self.media.sync()?;
+        self.media.sync()?;
+        self.log.open = true;
+        self.log.bytes += record.len() as u64;
+        Ok(())
+    }
+
+    /// After a checkpoint of `sys`: start dirty tracking on every bank and
+    /// note the stores the checkpoint covers, so the next commit can be a
+    /// log record.
+    fn arm_log(&mut self, sys: &mut MultiBankSystem<ServerScheme>) {
+        self.log.stores = sys
+            .banks_mut()
+            .iter_mut()
+            .map(|mc| {
+                mc.bank_mut().track_dirty();
+                let scheme = mc.scheme();
+                Some((scheme.checkpoints_installed(), scheme.store().journal.len()))
+            })
+            .collect();
+    }
+
+    /// Load the newest valid checkpoint and fold in the log records after
+    /// it, scrubbing on the way in: `Ok(None)` when the medium holds no
+    /// state at all (fresh start).
     ///
-    /// Both copies are CRC-validated. When one is torn or rotten and the
-    /// other survives, the survivor is served and **rewritten over the
-    /// damaged copy** (the heal is made durable before returning, and
-    /// reported in the [`ShelfScrub`] with the typed damage). Only when
-    /// *both* copies fail validation does load refuse, with the typed
-    /// decode error — never a plausible-but-wrong state.
+    /// Both checkpoint copies are CRC-validated. When one is torn or
+    /// rotten and the other survives, the survivor is served and
+    /// **rewritten over the damaged copy**, durably. The log is then read
+    /// from both copies: a record rotten in one copy is taken from the
+    /// other, and a torn tail (an append that never committed) is
+    /// ignored. Records at or below the checkpoint's `save_seq` predate it
+    /// and are skipped; the rest must continue it one commit at a time.
+    /// The log copies are left as they are, and the log stays closed, so
+    /// the next commit is a checkpoint that replaces them. The
+    /// [`ShelfScrub`] reports what was found. When both copies of the
+    /// checkpoint, or of a committed record, fail validation, load refuses
+    /// with the typed decode error — never a plausible-but-wrong state.
     pub fn load(&mut self) -> Result<Option<(ShelfState, ShelfScrub)>, ShelfError> {
+        self.log = LogCursor::default();
+        let Some((mut state, mut scrub)) = self.load_checkpoint()? else {
+            return Ok(None);
+        };
+        let mut copies: [Vec<u8>; 2] = Default::default();
+        for (copy, name) in copies.iter_mut().zip(SHELF_LOGS) {
+            *copy = self
+                .media
+                .read(name)
+                .map_err(ShelfError::Media)?
+                .unwrap_or_default();
+        }
+        let log = merge_logs(&copies).map_err(ShelfError::Decode)?;
+        for (src, range) in log.payloads {
+            let payload = &copies[src][range];
+            let seq = Dec::new(payload).u64().map_err(ShelfError::Decode)?;
+            if seq <= state.save_seq {
+                continue;
+            }
+            if seq != state.save_seq + 1 {
+                return Err(ShelfError::Decode(PersistError::Corrupt(
+                    "shelf log skips a commit",
+                )));
+            }
+            state.apply_record(payload).map_err(ShelfError::Decode)?;
+        }
+        scrub.healed_log = log.rotten_copy;
+        scrub.dropped_tail = log.dropped_tail;
+        Ok(Some((state, scrub)))
+    }
+
+    fn load_checkpoint(&mut self) -> Result<Option<(ShelfState, ShelfScrub)>, ShelfError> {
         let mut raw = Vec::with_capacity(2);
         for slot in SHELF_SLOTS {
             raw.push(self.media.read(slot).map_err(ShelfError::Media)?);
@@ -455,11 +845,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How a healed save ended — the engine's durability decision point.
+/// How a healed commit ended — the engine's durability decision point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaveOutcome {
     /// The state is durable (both copies, barriered); acks may go out.
-    /// `attempts > 1` means transient errors were retried away.
+    /// `attempts > 1` means failed attempts were healed away.
     Saved {
         /// Attempts used, first try included.
         attempts: u32,
@@ -496,6 +886,55 @@ pub fn save_with_healing(
             }
             Err(e) => return SaveOutcome::Failed(e),
         }
+    }
+}
+
+/// Checkpoint a serving device with self-healing ([`save_with_healing`]
+/// over its [`ShelfState::capture`]) and, once it lands, start the delta
+/// log from it: every bank tracks its dirty slots from here on. Boot, the
+/// drain finale and [`commit_with_healing`]'s fallback all checkpoint
+/// through here.
+pub fn checkpoint_with_healing(
+    shelf: &mut DiskShelf,
+    sys: &mut MultiBankSystem<ServerScheme>,
+    stamp: CommitStamp,
+    policy: &RetryPolicy,
+) -> SaveOutcome {
+    let outcome = save_with_healing(shelf, &ShelfState::capture(sys, stamp), policy);
+    if let SaveOutcome::Saved { .. } = outcome {
+        shelf.arm_log(sys);
+    }
+    outcome
+}
+
+/// Commit a serving device at `stamp`: the per-batch durability point.
+///
+/// Normally this appends one log record holding what changed since the
+/// previous commit. It writes a full checkpoint instead
+/// ([`checkpoint_with_healing`]) when the log would reach the size of the
+/// checkpoint image, when no checkpoint has armed the log yet, and when
+/// the append fails — so a torn or unsynced record never sits before a
+/// committed one, and the dirty slots the record consumed land with the
+/// checkpoint. The outcome is the checkpoint's, with a failed append
+/// counted as one more attempt.
+pub fn commit_with_healing(
+    shelf: &mut DiskShelf,
+    sys: &mut MultiBankSystem<ServerScheme>,
+    stamp: CommitStamp,
+    policy: &RetryPolicy,
+) -> SaveOutcome {
+    let mut failed_appends = 0;
+    if let Some(record) = shelf.delta_record(sys, stamp) {
+        match shelf.append_record(&record) {
+            Ok(()) => return SaveOutcome::Saved { attempts: 1 },
+            Err(_) => failed_appends = 1,
+        }
+    }
+    match checkpoint_with_healing(shelf, sys, stamp, policy) {
+        SaveOutcome::Saved { attempts } => SaveOutcome::Saved {
+            attempts: attempts + failed_appends,
+        },
+        other => other,
     }
 }
 
