@@ -4,20 +4,20 @@
 //!
 //! Besides the criterion report, the bench writes a machine-readable
 //! summary (median translations/sec for both paths plus the speedup, per
-//! width × stages cell) to `BENCH_feistel.json` — override the path with
-//! the `BENCH_FEISTEL_JSON` environment variable. The committed copy
+//! width × stages cell) to `BENCH_feistel.json`. The committed copy
 //! lives at `results/BENCH_feistel.json` so the perf trajectory is
-//! tracked across PRs. Knobs:
+//! tracked across PRs. Knobs (see the crate docs):
 //!
-//! - `FEISTEL_BENCH_QUICK=1` — fewer repetitions (CI smoke mode).
+//! - `SRBSG_BENCH_QUICK=1` — fewer repetitions (CI smoke mode).
+//! - `SRBSG_BENCH_JSON_DIR=DIR` — where the summary goes.
 //! - `SRBSG_BENCH_ASSERT=1` — fail unless batch ≥ scalar in every cell
 //!   and ≥ 2× at the width-20/stages-5 reference cell.
 
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use srbsg_bench::{assert_gate, median_rate, quick, write_summary};
 use srbsg_feistel::{AddressPermutation, FeistelNetwork};
-use std::time::Instant;
 
 const WIDTHS: [u32; 5] = [10, 15, 20, 25, 30];
 const STAGES: [usize; 4] = [3, 5, 7, 9];
@@ -46,22 +46,8 @@ fn batch_pass(net: &FeistelNetwork, addrs: &[u64], buf: &mut Vec<u64>) -> u64 {
     buf.iter().fold(0u64, |acc, &x| acc ^ x)
 }
 
-fn median_rate(mut f: impl FnMut() -> u64, reps: usize) -> f64 {
-    let mut rates: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            BUF as f64 / t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    rates[rates.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::var("FEISTEL_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let assert_gate = std::env::var("SRBSG_BENCH_ASSERT").is_ok_and(|v| v == "1");
-    let reps = if quick { 3 } else { 7 };
+    let reps = if quick() { 3 } else { 7 };
 
     let mut c = Criterion::default();
     let mut g = c.benchmark_group("feistel_translate");
@@ -93,8 +79,8 @@ fn main() {
                 batch_pass(&net, &addrs, &mut buf),
                 "batch diverged from scalar at width {width}, stages {stages}"
             );
-            let scalar = median_rate(|| scalar_pass(&net, &addrs), reps);
-            let batch = median_rate(|| batch_pass(&net, &addrs, &mut buf), reps);
+            let scalar = median_rate(|_| scalar_pass(&net, &addrs), BUF as f64, reps);
+            let batch = median_rate(|_| batch_pass(&net, &addrs, &mut buf), BUF as f64, reps);
             let speedup = batch / scalar;
             println!(
                 "feistel_translate/w{width}_s{stages}: scalar {scalar:.0}/s, \
@@ -121,11 +107,8 @@ fn main() {
          \"cores\": {cores}, \"results\": [{}]}}\n",
         entries.join(", ")
     );
-    let path =
-        std::env::var("BENCH_FEISTEL_JSON").unwrap_or_else(|_| "BENCH_feistel.json".to_string());
-    std::fs::write(&path, json).expect("write bench summary");
-    println!("[wrote {path}]");
-    if assert_gate {
+    write_summary("BENCH_feistel.json", &json);
+    if assert_gate() {
         assert!(gate_ok, "feistel bench gate failed (see GATE lines above)");
     }
 }

@@ -5,23 +5,23 @@
 //!
 //! Besides the criterion report, the bench writes a machine-readable
 //! summary (median trials/sec per engine × worker count, plus the core
-//! count the numbers were taken on) to `BENCH_raa_split.json` — override
-//! the path with the `BENCH_RAA_SPLIT_JSON` environment variable. The
+//! count the numbers were taken on) to `BENCH_raa_split.json`. The
 //! committed copy lives at `results/BENCH_raa_split.json`; like
 //! `BENCH_sharded.json`, speedup only shows on multi-core hosts (the CI
 //! artifact carries the multi-core numbers), while the output is
 //! byte-identical at any worker count either way — that part is what the
-//! determinism gates check. Knobs:
+//! determinism gates check. Knobs (see the crate docs):
 //!
-//! - `RAA_SPLIT_BENCH_QUICK=1` — smaller platform, fewer repetitions
+//! - `SRBSG_BENCH_QUICK=1` — smaller platform, fewer repetitions
 //!   (CI smoke mode).
+//! - `SRBSG_BENCH_JSON_DIR=DIR` — where the summary goes.
 //! - `SRBSG_BENCH_ASSERT=1` — fail unless split at jobs=1 is within
 //!   tolerance of the legacy serial engine, ≥2× legacy at jobs=4 when the
 //!   host has ≥4 cores, and ≥3× at jobs=8 when it has ≥8.
 
 use criterion::{black_box, Criterion};
+use srbsg_bench::{assert_gate, median_rate, quick, write_summary};
 use srbsg_lifetime::{srbsg_raa_lifetime, srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
-use std::time::Instant;
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Split at jobs=1 may trail the legacy engine by the per-range bookkeeping
@@ -44,21 +44,8 @@ fn platform(quick: bool) -> (PcmParams, SrbsgParams) {
     (params, cfg)
 }
 
-fn median_rate(mut f: impl FnMut(u64) -> u128, reps: usize) -> f64 {
-    let mut rates: Vec<f64> = (0..reps)
-        .map(|i| {
-            let t0 = Instant::now();
-            black_box(f(i as u64));
-            1.0 / t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    rates[rates.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::var("RAA_SPLIT_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let assert_gate = std::env::var("SRBSG_BENCH_ASSERT").is_ok_and(|v| v == "1");
+    let quick = quick();
     let reps = if quick { 3 } else { 5 };
     let (params, cfg) = platform(quick);
 
@@ -78,7 +65,7 @@ fn main() {
     // Self-timed medians for the JSON artifact (the criterion shim keeps
     // its samples internal). Seeds vary per repetition so no engine can
     // win on a lucky early failure.
-    let legacy = median_rate(|s| srbsg_raa_lifetime(&params, &cfg, s).writes, reps);
+    let legacy = median_rate(|s| srbsg_raa_lifetime(&params, &cfg, s).writes, 1.0, reps);
     println!("raa_split_lifetime/legacy_serial: {legacy:.2} trials/sec");
     let mut entries = vec![format!(
         "{{\"engine\": \"legacy\", \"jobs\": 1, \"trials_per_sec\": {legacy:.2}}}"
@@ -87,6 +74,7 @@ fn main() {
     for &jobs in &JOB_COUNTS {
         let rate = median_rate(
             |s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes,
+            1.0,
             reps,
         );
         println!(
@@ -108,10 +96,7 @@ fn main() {
         params.endurance,
         entries.join(", ")
     );
-    let path = std::env::var("BENCH_RAA_SPLIT_JSON")
-        .unwrap_or_else(|_| "BENCH_raa_split.json".to_string());
-    std::fs::write(&path, json).expect("write bench summary");
-    println!("[wrote {path}]");
+    write_summary("BENCH_raa_split.json", &json);
 
     let mut gate_ok = true;
     let split_j1 = split_rates[0].1;
@@ -137,7 +122,7 @@ fn main() {
             gate_ok = false;
         }
     }
-    if assert_gate {
+    if assert_gate() {
         assert!(
             gate_ok,
             "raa_split bench gate failed (see GATE lines above)"

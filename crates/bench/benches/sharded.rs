@@ -3,16 +3,16 @@
 //!
 //! Besides the criterion report, the bench writes a machine-readable
 //! summary (median events/sec per worker count, plus the core count the
-//! numbers were taken on) to `BENCH_sharded.json` — override the path with
-//! the `BENCH_SHARDED_JSON` environment variable. Speedup only shows on
-//! multi-core hosts; the output is byte-identical at any worker count
+//! numbers were taken on) to `BENCH_sharded.json`, in
+//! `SRBSG_BENCH_JSON_DIR` when that is set (see the crate docs). Speedup
+//! only shows on multi-core hosts; the output is byte-identical at any worker count
 //! either way, which is what the determinism gates check.
 
 use criterion::{black_box, Criterion};
+use srbsg_bench::{median_rate, write_summary};
 use srbsg_pcm::{MultiBankSystem, TimingModel};
 use srbsg_wearlevel::StartGap;
 use srbsg_workloads::{ShardedTraceRunner, WorkloadSpec};
-use std::time::Instant;
 
 const BANKS: usize = 8;
 const LINES_PER_BANK: u64 = 1 << 10;
@@ -58,15 +58,7 @@ fn main() {
     let total_events = BANKS as u64 * EVENTS_PER_BANK;
     let mut entries = Vec::new();
     for &jobs in &job_counts {
-        let mut rates: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(run_once(jobs));
-                total_events as f64 / t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        rates.sort_by(|a, b| a.total_cmp(b));
-        let median = rates[rates.len() / 2];
+        let median = median_rate(|_| run_once(jobs), total_events as f64, 5);
         println!("sharded_runner/jobs{jobs}: {median:.0} events/sec");
         entries.push(format!(
             "{{\"jobs\": {jobs}, \"events_per_sec\": {median:.0}}}"
@@ -79,8 +71,5 @@ fn main() {
          \"cores\": {cores}, \"results\": [{}]}}\n",
         entries.join(", ")
     );
-    let path =
-        std::env::var("BENCH_SHARDED_JSON").unwrap_or_else(|_| "BENCH_sharded.json".to_string());
-    std::fs::write(&path, json).expect("write bench summary");
-    println!("[wrote {path}]");
+    write_summary("BENCH_sharded.json", &json);
 }

@@ -33,6 +33,7 @@
 //! Trials run on `--jobs N` workers; the table and `results/crash.csv`
 //! are byte-identical for any `N`.
 
+use crate::chaos::AckLedger;
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
@@ -43,35 +44,11 @@ use srbsg_persist::{
     write_crashable, CheckpointPolicy, CrashMode, CrashPlan, Journaled, JournaledScheme,
 };
 use srbsg_wearlevel::{MultiWaySr, Rbsg, SecurityRefresh, StartGap, TwoLevelSr};
-use std::collections::{HashMap, HashSet};
-
-const MODES: [CrashMode; 8] = [
-    CrashMode::TornRecord,
-    CrashMode::RecordedNotApplied,
-    CrashMode::HalfApplied,
-    CrashMode::AppliedNoMarker,
-    CrashMode::AfterCommit { extra_writes: 2 },
-    CrashMode::CheckpointTornSnapshot,
-    CrashMode::CheckpointTornMarker,
-    CrashMode::CheckpointNotTruncated,
-];
+use std::collections::HashSet;
 
 /// The checkpoint step bound K armed for the main sweep (the dedicated
 /// K-sweep below varies it).
 const SWEEP_K: u64 = 8;
-
-fn mode_name(mode: CrashMode) -> &'static str {
-    match mode {
-        CrashMode::TornRecord => "torn_record",
-        CrashMode::RecordedNotApplied => "recorded_not_applied",
-        CrashMode::HalfApplied => "half_applied",
-        CrashMode::AppliedNoMarker => "applied_no_marker",
-        CrashMode::AfterCommit { .. } => "after_commit",
-        CrashMode::CheckpointTornSnapshot => "ckpt_torn_snapshot",
-        CrashMode::CheckpointTornMarker => "ckpt_torn_marker",
-        CrashMode::CheckpointNotTruncated => "ckpt_not_truncated",
-    }
-}
 
 /// The schemes under test. Security RBSG is swept under both recovery
 /// policies so the CSV carries the attacker-overlap contrast.
@@ -230,13 +207,11 @@ fn run_one<W: JournaledScheme>(
     );
     mc.scheme_mut().set_crash_plan(plan);
     let lines = mc.logical_lines();
-    let mut acked: HashMap<u64, LineData> = HashMap::new();
+    let mut ledger = AckLedger::default();
     let mut crash_idx = None;
     for (i, &(la, data)) in writes.iter().enumerate() {
         match write_crashable(&mut mc, la, data) {
-            Ok(_) => {
-                acked.insert(la, data);
-            }
+            Ok(_) => ledger.ack(la, data, 0),
             Err(PcmError::PowerLost) => {
                 crash_idx = Some(i);
                 break;
@@ -276,12 +251,7 @@ fn run_one<W: JournaledScheme>(
         .count() as f64
         / lines as f64;
 
-    let mut lost_acked = 0u64;
-    for (&la, &data) in &acked {
-        if mc.read(la).0 != data {
-            lost_acked += 1;
-        }
-    }
+    let (acked, lost_acked) = ledger.audit(|la| mc.read(la).0);
     // The aborted write was never acknowledged — the client reissues it,
     // then the rest of the trace runs as if nothing happened.
     for &(la, data) in &writes[crash_write..] {
@@ -311,7 +281,7 @@ fn run_one<W: JournaledScheme>(
         fallback: report.marker_fallback,
         ckpts,
         slo_ok,
-        acked: acked.len() as u64,
+        acked,
         lost_acked,
         overlap,
         equivalent,
@@ -446,7 +416,7 @@ pub fn run(opts: &Opts) {
             points.sort_unstable();
             points.dedup();
             for at_step in points {
-                for mode in MODES {
+                for mode in CrashMode::ALL {
                     specs.push(Spec {
                         kind,
                         seed,
@@ -466,7 +436,7 @@ pub fn run(opts: &Opts) {
             "Power-failure injection sweep ({} planned crashes, {} crash modes, \
              recovery verified trial by trial)",
             results.len(),
-            MODES.len()
+            CrashMode::ALL.len()
         ),
         &[
             "scheme",
@@ -549,7 +519,7 @@ pub fn run(opts: &Opts) {
             kind_name(spec.kind).to_string(),
             spec.seed.to_string(),
             spec.at_step.to_string(),
-            mode_name(spec.mode).to_string(),
+            spec.mode.name().to_string(),
             spec.k.to_string(),
             out.crash_write.to_string(),
             out.mid_round.to_string(),
@@ -639,7 +609,7 @@ pub fn run(opts: &Opts) {
                 .map(|p| 1 + p * (steps - 1) / (npts - 1))
                 .collect();
             for at_step in points {
-                for mode in MODES {
+                for mode in CrashMode::ALL {
                     kspecs.push(Spec {
                         kind: Kind::SecurityRbsgRekey,
                         seed,

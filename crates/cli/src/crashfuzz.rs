@@ -22,41 +22,18 @@
 //! so the table and `results/crashfuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
+use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, AckLedger, FUZZ_BANKS};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, PcmError, TimingModel};
+use srbsg_core::SecurityRbsg;
+use srbsg_pcm::{MemoryController, MultiBankSystem, PcmError};
 use srbsg_persist::{CheckpointPolicy, CrashMode, CrashPlan, Journaled};
-use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
-use std::collections::BTreeMap;
+use srbsg_serve::{FrontEnd, Op, Rejected, Request};
 
-const BANKS: usize = 3;
-
-const MODES: [CrashMode; 8] = [
-    CrashMode::TornRecord,
-    CrashMode::RecordedNotApplied,
-    CrashMode::HalfApplied,
-    CrashMode::AppliedNoMarker,
-    CrashMode::AfterCommit { extra_writes: 2 },
-    CrashMode::CheckpointTornSnapshot,
-    CrashMode::CheckpointTornMarker,
-    CrashMode::CheckpointNotTruncated,
-];
-
-fn mode_name(mode: CrashMode) -> &'static str {
-    match mode {
-        CrashMode::TornRecord => "torn_record",
-        CrashMode::RecordedNotApplied => "recorded_not_applied",
-        CrashMode::HalfApplied => "half_applied",
-        CrashMode::AppliedNoMarker => "applied_no_marker",
-        CrashMode::AfterCommit { .. } => "after_commit",
-        CrashMode::CheckpointTornSnapshot => "ckpt_torn_snapshot",
-        CrashMode::CheckpointTornMarker => "ckpt_torn_marker",
-        CrashMode::CheckpointNotTruncated => "ckpt_not_truncated",
-    }
-}
+/// Seed base of the fuzz banks.
+const SEED_BASE: u64 = 0xC0FF_EE00;
 
 /// What one fuzz iteration drew and measured. Contract violations panic
 /// the iteration (and `par_map` propagates the panic).
@@ -83,70 +60,19 @@ struct FuzzOut {
     equivalent: bool,
 }
 
-/// The serving policy for the fuzz runs: deep queues, no deadlines in
-/// play, no quarantine — every rejection must be the injected power loss.
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        queue_depth: 512,
-        max_retries: 1,
-        backoff_base_ns: 500,
-        backoff_cap_ns: 16_000,
-        backoff_seed: 0x5E4E_5EED,
-        quarantine_spare_frac: 0.0,
-    }
-}
-
-fn build(iter: u64, policy: CheckpointPolicy) -> FrontEnd<Journaled<SecurityRbsg>> {
-    let banks = (0..BANKS)
-        .map(|b| {
-            let mut cfg = SecurityRbsgConfig::small(4, 2);
-            cfg.seed = 0xC0FF_EE00 ^ (iter << 8) ^ b as u64;
-            MemoryController::new(
-                Journaled::with_policy(SecurityRbsg::new(cfg), policy),
-                u64::MAX,
-                TimingModel::PAPER,
-            )
-        })
-        .collect();
-    FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg())
-}
-
-/// A random request stream over all banks: uniform addresses, 60/40
-/// write/read, no meaningful deadlines.
-fn fuzz_trace(rng: &mut StdRng, lines: u64, n: usize) -> Vec<Request> {
-    let mut arrival: Ns = 0;
-    (0..n)
-        .map(|i| {
-            arrival += (100 + rng.random::<u64>() % 200) as Ns;
-            let la = rng.random::<u64>() % lines;
-            let op = if rng.random::<u32>() % 5 < 3 {
-                Op::Write(LineData::Mixed(i as u32 + 1))
-            } else {
-                Op::Read
-            };
-            Request {
-                la,
-                op,
-                arrival_ns: arrival,
-                deadline_ns: Ns::MAX,
-            }
-        })
-        .collect()
-}
-
 /// One fuzz iteration, end to end.
 fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     let mut rng = StdRng::seed_from_u64(0xF022_1EAF ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let k = [4u64, 8, 16][(rng.random::<u32>() % 3) as usize];
     let policy = CheckpointPolicy::every_steps(k);
     let slo = policy.slo_steps().expect("every_steps policy has an SLO");
-    let victim = (rng.random::<u32>() as usize) % BANKS;
-    let mode = MODES[(rng.random::<u32>() as usize) % MODES.len()];
+    let victim = (rng.random::<u32>() as usize) % FUZZ_BANKS;
+    let mode = CrashMode::ALL[(rng.random::<u32>() as usize) % CrashMode::ALL.len()];
     let at_step = 1 + rng.random::<u64>() % 30;
     let rekey_seed = rng.random::<u64>();
 
     // The reference never crashes but runs the identical serving path.
-    let mut reference = build(iter, policy);
+    let mut reference = fuzz_front_end(SEED_BASE, iter, policy);
     let lines = reference.system().logical_lines();
     let reqs = fuzz_trace(&mut rng, lines, n);
     for chunk in reqs.chunks(batch) {
@@ -155,16 +81,15 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         }
     }
 
-    let mut fe = build(iter, policy);
+    let mut fe = fuzz_front_end(SEED_BASE, iter, policy);
     fe.system_mut()
         .bank_mut(victim)
         .scheme_mut()
         .set_crash_plan(CrashPlan { at_step, mode });
 
-    // Last acknowledged write per address, in completion order — within a
-    // bank the completion order is the device order, and each address
-    // lives on exactly one bank.
-    let mut last_acked: BTreeMap<u64, LineData> = BTreeMap::new();
+    // Acks in completion order — within a bank the completion order is
+    // the device order, and each address lives on exactly one bank.
+    let mut ledger = AckLedger::default();
     let mut acked = 0u64;
     let mut resubmitted = 0u64;
     let mut recovered: Option<(srbsg_persist::RecoveryReport, u64)> = None;
@@ -185,7 +110,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
             match &c.result {
                 Ok(_) => {
                     if let Op::Write(data) = req.op {
-                        last_acked.insert(req.la, data);
+                        ledger.ack(req.la, data, 0);
                         acked += 1;
                     }
                 }
@@ -227,13 +152,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     }
 
     // Invariant 1: every acknowledged write survives, across the cut.
-    let mut lost_acked = 0u64;
-    for (&la, &data) in &last_acked {
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            lost_acked += 1;
-        }
-    }
+    let (_, lost_acked) = ledger.audit(|la| fe.system_mut().try_read(la).expect("audit read").0);
     // Invariant 3: recovered-then-continued == never-crashed, everywhere.
     let equivalent = (0..lines).all(|la| {
         fe.system_mut().try_read(la).expect("read").0
@@ -275,7 +194,7 @@ pub fn run(opts: &Opts) {
 
     let mut t = Table::new(
         &format!(
-            "Randomized crash-under-load fuzzing ({iters} iterations, {BANKS} journaled \
+            "Randomized crash-under-load fuzzing ({iters} iterations, {FUZZ_BANKS} journaled \
              banks, {} requests per iteration, replay SLO = max(K, 2))",
             n
         ),
@@ -322,7 +241,7 @@ pub fn run(opts: &Opts) {
             iter.to_string(),
             out.k.to_string(),
             out.bank.to_string(),
-            mode_name(out.mode).to_string(),
+            out.mode.name().to_string(),
             out.at_step.to_string(),
             out.fired.to_string(),
             out.acked.to_string(),

@@ -55,6 +55,7 @@
 //! statistically rather than bit-for-bit (the faults part checks that).
 
 mod ablation;
+mod chaos;
 mod crash;
 mod crashfuzz;
 mod detect;

@@ -27,6 +27,7 @@
 //! on the device, whatever the chaos. The replays, the table, and
 //! `results/serve.csv` are byte-identical for any `--jobs N`.
 
+use crate::chaos::AckLedger;
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::SmallRng;
@@ -35,7 +36,6 @@ use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
 use srbsg_serve::{percentile_ns, FrontEnd, Op, Rejected, Request, ServeConfig};
 use srbsg_workloads::{shard_seed, TraceGenerator, WorkloadSpec};
-use std::collections::BTreeMap;
 
 const BANKS: usize = 8;
 const FAULTY_BANK: usize = 1;
@@ -251,10 +251,9 @@ fn replay(
     let mut fe = FrontEnd::new(system, serve_cfg);
 
     let mut acc: Vec<BankAcc> = vec![BankAcc::default(); BANKS];
-    // Write-loss audit: last device-touching write per address, and
-    // whether it was acknowledged. Only acknowledged last-writers must
-    // read back intact; an unverified pulse may leave the line torn.
-    let mut last_touch: BTreeMap<u64, (LineData, bool)> = BTreeMap::new();
+    // Write-loss audit: only acknowledged last-writers must read back
+    // intact; an unverified pulse may leave the line torn.
+    let mut ledger = AckLedger::default();
     // Closed loop: `QueueFull` rejects waiting for the next batch, with
     // their deferral count.
     let mut carry: Vec<(Request, u32)> = Vec::new();
@@ -323,28 +322,19 @@ fn replay(
                 Err(Rejected::ReadOnly) => unreachable!("read-only mode is never enabled here"),
             }
             if let Op::Write(data) = req.op {
-                if c.touched_device(true) {
-                    last_touch.insert(req.la, (data, c.result.is_ok()));
+                match &c.result {
+                    Ok(_) => ledger.ack(req.la, data, 0),
+                    Err(r) if r.touched_device() => ledger.forget(req.la),
+                    Err(_) => {}
                 }
             }
         }
     }
 
-    // Read back every address whose last device-touching write was
-    // acknowledged: an acknowledged write that does not survive is a lost
-    // write, and there must be none.
-    let mut audited = 0u64;
-    let mut lost_acked = 0u64;
-    for (&la, &(data, acked)) in &last_touch {
-        if !acked {
-            continue;
-        }
-        audited += 1;
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            lost_acked += 1;
-        }
-    }
+    // An acknowledged write that does not survive is a lost write, and
+    // there must be none.
+    let (audited, lost_acked) =
+        ledger.audit(|la| fe.system_mut().try_read(la).expect("audit read").0);
 
     let quarantined_at: Vec<Option<Ns>> = (0..BANKS)
         .map(|b| {

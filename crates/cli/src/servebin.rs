@@ -38,9 +38,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use srbsg_pcm::LineData;
 use srbsg_persist::crc64;
 use srbsg_server::{os, Client, Endpoint, ErrCode, LoadReport, WireResponse};
 
+use crate::chaos::AckLedger;
 use crate::table::Table;
 use crate::Opts;
 
@@ -355,56 +357,6 @@ fn fuzz_phase(bins: &Bins, scale: &Scale, root: &std::path::Path) -> u64 {
     malformed
 }
 
-/// The cross-phase zero-lost-acked-writes audit. For every address that
-/// ever carried an acked write, the device must hold the last acked tag
-/// or an unresolved tag from the same phase or later (an in-flight write
-/// the server applied without the ack reaching the client).
-fn audit(phases: &[Phase], ep: &Endpoint) -> (usize, usize) {
-    let mut last_ack: HashMap<u64, (usize, u32)> = HashMap::new();
-    let mut unresolved: HashMap<u64, Vec<(usize, u32)>> = HashMap::new();
-    for (pi, phase) in phases.iter().enumerate() {
-        for (&la, &tag) in &phase.report.acked {
-            last_ack.insert(la, (pi, tag));
-        }
-        for (&la, tags) in &phase.report.unresolved {
-            let e = unresolved.entry(la).or_default();
-            e.extend(tags.iter().map(|&t| (pi, t)));
-        }
-    }
-    let mut c = Client::connect(ep, Duration::from_secs(10)).expect("audit connect");
-    let empty = Vec::new();
-    let mut lost = 0usize;
-    for (&la, &(api, atag)) in &last_ack {
-        let got = c
-            .read(la)
-            .expect("audit read io")
-            .unwrap_or_else(|r| panic!("audit read of la={la} rejected: {r:?}"));
-        let ok = match got {
-            srbsg_pcm::LineData::Mixed(t) => {
-                t == atag
-                    || unresolved
-                        .get(&la)
-                        .unwrap_or(&empty)
-                        .iter()
-                        .any(|&(pi, tag)| tag == t && pi >= api)
-            }
-            other => {
-                eprintln!("AUDIT: la={la} holds {other:?}, expected a tagged write");
-                false
-            }
-        };
-        if !ok {
-            eprintln!(
-                "AUDIT: lost acked write at la={la}: device={got:?}, last ack tag={atag} \
-                 (phase {})",
-                phases[api].name
-            );
-            lost += 1;
-        }
-    }
-    (lost, last_ack.len())
-}
-
 /// Run the full harness. Panics (failing the process, and CI) on any
 /// robustness violation.
 pub fn run(opts: &Opts) {
@@ -536,7 +488,28 @@ pub fn run(opts: &Opts) {
         generation, 3,
         "audit boot must be generation 3 (fresh + 3 restarts)"
     );
-    let (lost, audited) = audit(&phases, &ep);
+    // Every address that ever carried an acked write must hold its last
+    // acked tag, or a tag left unresolved (in flight when the server died)
+    // in that phase or a later one.
+    let mut ledger = AckLedger::default();
+    for (pi, phase) in phases.iter().enumerate() {
+        for (&la, &tag) in &phase.report.acked {
+            ledger.ack(la, LineData::Mixed(tag), pi);
+        }
+        for (&la, tags) in &phase.report.unresolved {
+            for &tag in tags {
+                ledger.unresolved(la, LineData::Mixed(tag), pi);
+            }
+        }
+    }
+    let mut c = Client::connect(&ep, Duration::from_secs(10)).expect("audit connect");
+    let (audited, lost) = ledger.audit(|la| {
+        c.read(la)
+            .expect("audit read io")
+            .unwrap_or_else(|r| panic!("audit read of la={la} rejected: {r:?}"))
+    });
+    // Close the audit connection so the drain below need not wait on it.
+    drop(c);
     srv.sigterm_expect_clean_exit("audit server");
     assert_eq!(
         lost, 0,

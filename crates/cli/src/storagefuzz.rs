@@ -16,8 +16,9 @@
 //! fault-free control that must match the never-faulted reference bit for
 //! bit. Scheduled power cuts restart the stack through shelf load
 //! (healing a rotten checkpoint copy, reading a rotten log record from
-//! its twin, ignoring torn tails) and re-keyed journal recovery,
-//! resubmitting the writes of any commit that failed.
+//! its twin, ignoring torn tails) and the server's own [`restore`]
+//! (re-keyed journal recovery), resubmitting the writes of any commit
+//! that failed.
 //!
 //! Writes and appends share one fault count, so each iteration first
 //! runs its stream fault-free (a dry pass) to list the operations the
@@ -40,26 +41,26 @@
 //! so the table and `results/storagefuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
+use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, AckLedger, FUZZ_BANKS};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_parallel::splitmix64;
-use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
+use srbsg_pcm::LineData;
 use srbsg_persist::{
-    CheckpointPolicy, FaultKind, FaultPlan, FaultyMedia, Journaled, Media, MediaError, MediaOp,
-    MemMedia, SharedMedia,
+    CheckpointPolicy, FaultKind, FaultPlan, FaultyMedia, Media, MediaError, MediaOp, MemMedia,
+    SharedMedia,
 };
-use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
+use srbsg_serve::{FrontEnd, Op, Rejected, Request};
 use srbsg_server::{
-    checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy, SaveOutcome,
-    ServerScheme, ShelfScrub, ShelfState, SHELF_LOGS, SHELF_SLOTS,
+    checkpoint_with_healing, commit_with_healing, restore, CommitStamp, DiskShelf, RetryPolicy,
+    SaveOutcome, ServerScheme, SHELF_LOGS, SHELF_SLOTS,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-const BANKS: usize = 3;
+/// Seed base of the fuzz banks.
+const SEED_BASE: u64 = 0x0057_012A_6E00;
 
 /// Which operations a lane's fault lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,87 +249,6 @@ struct FuzzOut {
     equivalent: bool,
 }
 
-/// The serving policy for the fuzz runs: deep queues, no deadlines in
-/// play, no quarantine — every rejection must be an injected-storage
-/// outcome.
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        queue_depth: 512,
-        max_retries: 1,
-        backoff_base_ns: 500,
-        backoff_cap_ns: 16_000,
-        backoff_seed: 0x5E4E_5EED,
-        quarantine_spare_frac: 0.0,
-    }
-}
-
-fn build(iter: u64, policy: CheckpointPolicy) -> FrontEnd<ServerScheme> {
-    let banks = (0..BANKS)
-        .map(|b| {
-            let mut cfg = SecurityRbsgConfig::small(4, 2);
-            cfg.seed = 0x0057_012A_6E00 ^ (iter << 8) ^ b as u64;
-            MemoryController::new(
-                Journaled::with_policy(SecurityRbsg::new(cfg), policy),
-                u64::MAX,
-                TimingModel::PAPER,
-            )
-        })
-        .collect();
-    FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg())
-}
-
-/// A random request stream over all banks: uniform addresses, 60/40
-/// write/read, no meaningful deadlines.
-fn fuzz_trace(rng: &mut StdRng, lines: u64, n: usize) -> Vec<Request> {
-    let mut arrival: Ns = 0;
-    (0..n)
-        .map(|i| {
-            arrival += (100 + rng.random::<u64>() % 200) as Ns;
-            let la = rng.random::<u64>() % lines;
-            let op = if rng.random::<u32>() % 5 < 3 {
-                Op::Write(LineData::Mixed(i as u32 + 1))
-            } else {
-                Op::Read
-            };
-            Request {
-                la,
-                op,
-                arrival_ns: arrival,
-                deadline_ns: Ns::MAX,
-            }
-        })
-        .collect()
-}
-
-/// Restart from the shelf after a (simulated) power cut: load the newest
-/// valid copy (scrub-healing a damaged one), rebuild every bank through
-/// re-keyed journal recovery, and return the new front-end plus the scrub
-/// report. Mirrors the server's recovered boot path.
-fn restart(
-    shelf: &mut DiskShelf,
-    policy: CheckpointPolicy,
-) -> (FrontEnd<ServerScheme>, ShelfState, ShelfScrub) {
-    let (state, scrub) = shelf
-        .load()
-        .unwrap_or_else(|e| panic!("restart load failed: {e}"))
-        .expect("shelf must hold state after a committed save");
-    let generation = state.generation + 1;
-    let mut banks = Vec::with_capacity(state.banks.len());
-    for (b, bs) in state.banks.iter().enumerate() {
-        let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
-        let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
-        let (jw, _rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-            &bs.store, &mut bank, rekey, policy,
-        )
-        .unwrap_or_else(|e| panic!("bank {b} recovery failed: {e}"));
-        let mut mc = MemoryController::from_bank(jw, bank);
-        mc.advance_clock(state.now_ns);
-        banks.push(mc);
-    }
-    let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg());
-    (fe, state, scrub)
-}
-
 /// What [`cut_and_recover`] produced: the rebuilt front-end, the committed
 /// counters, and what the recovery had to do along the way.
 struct Recovered {
@@ -345,10 +265,10 @@ struct Recovered {
     saves: u64,
 }
 
-/// Power-cut the medium, restart from the shelf, and commit the
-/// new-generation image — repeating the whole cycle if the commit itself
-/// is the save the armed fault kills (the single-fault model guarantees
-/// the loop terminates).
+/// Power-cut the medium, load the shelf, [`restore`] the front-end from
+/// it, and commit the new-generation image — repeating the whole cycle
+/// if the commit itself is the save the armed fault kills (the
+/// single-fault model guarantees the loop terminates).
 fn cut_and_recover(
     handle: &SharedMedia<FaultyMedia<MemMedia>>,
     shelf: &mut DiskShelf,
@@ -365,7 +285,12 @@ fn cut_and_recover(
     loop {
         restarts += 1;
         handle.with(|m| m.power_cut());
-        let (mut fe, state, scrub) = restart(shelf, policy);
+        let (state, scrub) = shelf
+            .load()
+            .unwrap_or_else(|e| panic!("restart load failed: {e}"))
+            .expect("shelf must hold state after a committed save");
+        let (mut fe, boot) = restore(&state, policy, serve_cfg())
+            .unwrap_or_else(|e| panic!("restart recovery failed: {e}"));
         // A failed save may have committed its first slot before dying,
         // so the recovered image can run ahead of the acked counter —
         // never behind it.
@@ -375,11 +300,9 @@ fn cut_and_recover(
         );
         healed_slots += u64::from(scrub.healed_slot.is_some());
         healed_logs += u64::from(scrub.healed_log.is_some());
-        let generation = state.generation + 1;
-        let save_seq = state.save_seq + 1;
         let stamp = CommitStamp {
-            save_seq,
-            generation,
+            save_seq: boot.save_seq,
+            generation: boot.generation,
             seed: dev_seed,
             acked_writes: acked,
         };
@@ -389,8 +312,8 @@ fn cut_and_recover(
                 saves += 1;
                 return Recovered {
                     fe,
-                    save_seq,
-                    generation,
+                    save_seq: boot.save_seq,
+                    generation: boot.generation,
                     restarts,
                     healed_slots,
                     healed_logs,
@@ -477,7 +400,7 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
     };
 
     // The reference never faults but runs the identical serving path.
-    let mut reference = build(iter, policy);
+    let mut reference = fuzz_front_end(SEED_BASE, iter, policy);
     let lines = reference.system().logical_lines();
     let reqs = fuzz_trace(&mut rng, lines, n);
     for chunk in reqs.chunks(batch) {
@@ -543,7 +466,7 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
         sleep: false,
         ..RetryPolicy::default()
     };
-    let mut fe = build(iter, policy);
+    let mut fe = fuzz_front_end(SEED_BASE, iter, policy);
     let mut save_seq = 1u64;
     let mut generation = 0u64;
     // The fresh-boot checkpoint runs fault-free; the plan arms after it so
@@ -566,10 +489,9 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
         handle.with(|m| m.set_plan(p));
     }
 
-    // Last acknowledged write per address, in completion order — within a
-    // bank the completion order is the device order, and each address
-    // lives on exactly one bank.
-    let mut last_acked: BTreeMap<u64, LineData> = BTreeMap::new();
+    // Acks in completion order — within a bank the completion order is
+    // the device order, and each address lives on exactly one bank.
+    let mut ledger = AckLedger::default();
     let mut out = FuzzOut {
         mode,
         at_op,
@@ -642,7 +564,7 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
                 save_seq += 1;
                 out.saves += 1;
                 for &(la, data) in &pending {
-                    last_acked.insert(la, data);
+                    ledger.ack(la, data, 0);
                     out.acked += 1;
                 }
                 saved = true;
@@ -652,8 +574,8 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
                 // The batch's writes reached the device but were never
                 // acked; their addresses now hold indeterminate values,
                 // so they leave the acked audit set.
-                for (la, _) in &pending {
-                    last_acked.remove(la);
+                for &(la, _) in &pending {
+                    ledger.forget(la);
                 }
                 out.read_only = true;
                 fe.set_read_only(true);
@@ -676,8 +598,8 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
                     // writes can never resubmit (they would be shed), and
                     // a half-committed slot may already hold them — their
                     // addresses leave the acked audit set.
-                    for (la, _) in &pending {
-                        last_acked.remove(la);
+                    for &(la, _) in &pending {
+                        ledger.forget(la);
                     }
                     out.read_only = true;
                     fe.set_read_only(true);
@@ -715,12 +637,9 @@ fn drive(draw: &Draw, mode: Mode, plan: Option<FaultPlan>) -> Pass {
 
     out.fired = handle.with(|m| m.stats()).fired > 0;
     // Invariant 1: every acknowledged write survives every fault.
-    for (&la, &data) in &last_acked {
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            out.lost_acked += 1;
-        }
-    }
+    out.lost_acked = ledger
+        .audit(|la| fe.system_mut().try_read(la).expect("audit read").0)
+        .1;
     let ops = ops.lock().expect("recorder lock").clone();
     Pass {
         out,
@@ -741,7 +660,7 @@ pub fn run(opts: &Opts) {
 
     let mut t = Table::new(
         &format!(
-            "Deterministic storage-fault fuzzing ({iters} iterations, {BANKS} journaled \
+            "Deterministic storage-fault fuzzing ({iters} iterations, {FUZZ_BANKS} journaled \
              banks on faulty media, {n} requests per iteration)"
         ),
         &[

@@ -19,10 +19,6 @@ pub enum PersistError {
     /// checkpoint interrupted this way is an injectable outcome, not a
     /// programming error.
     PowerLost,
-    /// The backing storage medium failed; see the typed
-    /// [`MediaError`](crate::media::MediaError) for whether the failure is
-    /// retryable, persistent (out of space), or a torn/failed commit.
-    Media(crate::media::MediaError),
 }
 
 impl core::fmt::Display for PersistError {
@@ -31,7 +27,6 @@ impl core::fmt::Display for PersistError {
             PersistError::Truncated => write!(f, "persisted data truncated"),
             PersistError::Corrupt(what) => write!(f, "persisted data corrupt: {what}"),
             PersistError::PowerLost => write!(f, "power lost during a persistence operation"),
-            PersistError::Media(e) => write!(f, "storage medium failed: {e}"),
         }
     }
 }

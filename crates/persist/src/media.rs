@@ -1,10 +1,10 @@
 //! Pluggable storage media with deterministic fault injection.
 //!
 //! Everything durable in this workspace ultimately lands on a *medium* —
-//! the simulated NV regions of a [`Store`], or the state files of the
-//! server's disk shelf. Production media lie: writes tear short, `EIO`
-//! comes and goes, `ENOSPC` comes and stays, `fsync` reports success for
-//! data the device never persisted, renames fail, and cold sectors rot.
+//! the state files of the server's disk shelf. Production media lie:
+//! writes tear short, `EIO` comes and goes, `ENOSPC` comes and stays,
+//! `fsync` reports success for data the device never persisted, renames
+//! fail, and cold sectors rot.
 //! This module makes the medium a pluggable trait so every one of those
 //! lies can be injected deterministically and the recovery paths above can
 //! be proven to heal:
@@ -24,9 +24,6 @@
 //!   rename failure, and post-crash bit rot;
 //! * [`SharedMedia`] — a cloneable handle so a harness can keep arming
 //!   faults and cutting power on a medium another component owns;
-//! * [`Store::save_to`]/[`Store::load_from`] — the persistence `Store`
-//!   mapped onto a medium as four files, with CRC scrub-on-load that falls
-//!   back to the surviving dual slot and rewrites the damaged one.
 //!
 //! The fault model is **single-fault-per-run**: one scheduled fault plus
 //! the power cuts that materialize it. The save protocols above defend
@@ -38,10 +35,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-use crate::codec::PersistError;
-use crate::persistor::{decode_marker, encode_marker, Store};
-use crate::state::peek_snapshot_seq;
 
 /// The media operation an error occurred in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -770,118 +763,9 @@ impl<M: Media> Media for SharedMedia<M> {
     }
 }
 
-/// The four file names a [`Store`] occupies on a medium.
-pub const STORE_FILES: [&str; 4] = ["slot0", "slot1", "marker", "journal"];
-
-/// What [`Store::load_from`]'s scrub found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreScrub {
-    /// A damaged snapshot slot rewritten from the surviving one.
-    pub healed_slot: Option<usize>,
-    /// The marker was rewritten (torn, rotten, or naming a dead slot).
-    pub healed_marker: bool,
-}
-
-impl StoreScrub {
-    /// Whether the scrub changed anything on the medium.
-    pub fn healed(&self) -> bool {
-        self.healed_slot.is_some() || self.healed_marker
-    }
-}
-
-impl Store {
-    /// Persist the store's four regions to `media` and barrier.
-    pub fn save_to(&self, media: &mut dyn Media) -> Result<(), MediaError> {
-        media.write("slot0", &self.slots[0])?;
-        media.write("slot1", &self.slots[1])?;
-        media.write("marker", &self.marker)?;
-        media.write("journal", &self.journal)?;
-        media.sync()
-    }
-
-    /// Load a store from `media`, scrubbing on the way in. `Ok(None)` when
-    /// the medium holds no store at all (fresh start).
-    ///
-    /// The scrub validates the marker and the CRC-framed snapshot slots:
-    /// when the active slot is rotten (CRC failure) but the other slot
-    /// still validates, recovery **falls back to the surviving slot,
-    /// rewrites the damaged one from it, and re-points the marker** —
-    /// then persists the healed image before returning. A rotten journal
-    /// is *not* healable (it has no replica); its interior corruption
-    /// surfaces later as a typed error from the journal parser, never as a
-    /// silently wrong mapping.
-    pub fn load_from(media: &mut dyn Media) -> Result<Option<(Store, StoreScrub)>, PersistError> {
-        let mut parts = Vec::with_capacity(STORE_FILES.len());
-        for name in STORE_FILES {
-            parts.push(media.read(name).map_err(PersistError::Media)?);
-        }
-        if parts.iter().all(|p| p.is_none()) {
-            return Ok(None);
-        }
-        let journal = parts.pop().unwrap().unwrap_or_default();
-        let marker = parts.pop().unwrap().unwrap_or_default();
-        let slot1 = parts.pop().unwrap().unwrap_or_default();
-        let slot0 = parts.pop().unwrap().unwrap_or_default();
-        let mut store = Store {
-            slots: [slot0, slot1],
-            marker,
-            journal,
-        };
-
-        let mut scrub = StoreScrub::default();
-        let valid = [
-            peek_snapshot_seq(&store.slots[0]).ok(),
-            peek_snapshot_seq(&store.slots[1]).ok(),
-        ];
-        let named = decode_marker(&store.marker).ok();
-        let active_ok = named.is_some_and(|(s, seq)| valid[s as usize] == Some(seq));
-        if !active_ok {
-            // Either the marker itself is unreadable, or it names a slot
-            // that no longer validates (rot on the active snapshot). Fall
-            // back to the best surviving slot.
-            let best = match (valid[0], valid[1]) {
-                (Some(a), Some(b)) => usize::from(b > a),
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (None, None) => {
-                    return Err(PersistError::Corrupt(
-                        "no decodable snapshot in either slot",
-                    ))
-                }
-            };
-            let seq = valid[best].expect("best slot validates");
-            if let Some((named_slot, _)) = named {
-                let named_slot = named_slot as usize;
-                if valid[named_slot].is_none() && named_slot != best {
-                    // The active snapshot rotted: rewrite it from the
-                    // survivor so the device regains its redundancy.
-                    store.slots[named_slot] = store.slots[best].clone();
-                    scrub.healed_slot = Some(named_slot);
-                }
-            }
-            store.marker = encode_marker(best as u8, seq);
-            scrub.healed_marker = true;
-            store.save_to(media).map_err(PersistError::Media)?;
-        }
-        Ok(Some((store, scrub)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_store() -> Store {
-        use crate::state::encode_snapshot;
-        use srbsg_feistel::IdentityPermutation;
-        let snap7 = encode_snapshot(&IdentityPermutation::new(8), 7);
-        let snap9 = encode_snapshot(&IdentityPermutation::new(9), 9);
-        Store {
-            marker: encode_marker(1, 9),
-            slots: [snap7, snap9],
-            journal: vec![1, 2, 3, 4],
-        }
-    }
 
     #[test]
     fn mem_media_roundtrip_and_power_cut_semantics() {
@@ -1024,67 +908,6 @@ mod tests {
         m.power_cut();
         assert_eq!(m.read("t").unwrap().unwrap(), b"payload");
         assert_eq!(m.read("t.tmp").unwrap(), None);
-    }
-
-    #[test]
-    fn store_roundtrips_through_media() {
-        let store = sample_store();
-        let mut m = MemMedia::new();
-        store.save_to(&mut m).unwrap();
-        let (back, scrub) = Store::load_from(&mut m).unwrap().unwrap();
-        assert_eq!(back, store);
-        assert!(!scrub.healed());
-        let mut empty = MemMedia::new();
-        assert_eq!(Store::load_from(&mut empty).unwrap(), None);
-    }
-
-    #[test]
-    fn rotten_active_slot_heals_from_the_survivor() {
-        let store = sample_store();
-        let mut m = MemMedia::new();
-        store.save_to(&mut m).unwrap();
-        // Rot the *active* slot (slot1, per the marker).
-        m.rot_durable("slot1", 0xDECAF, 5);
-        m.power_cut();
-        let (healed, scrub) = Store::load_from(&mut m).unwrap().unwrap();
-        assert_eq!(scrub.healed_slot, Some(1));
-        assert!(scrub.healed_marker);
-        // The healed store is self-consistent: marker names a valid slot,
-        // and the damaged slot was rewritten from the survivor.
-        let (slot, seq) = decode_marker(&healed.marker).unwrap();
-        assert_eq!((slot, seq), (0, 7));
-        assert_eq!(healed.slots[1], healed.slots[0]);
-        // And the heal is durable: a second load sees a clean store.
-        let (again, scrub2) = Store::load_from(&mut m).unwrap().unwrap();
-        assert_eq!(again, healed);
-        assert!(!scrub2.healed());
-    }
-
-    #[test]
-    fn rotten_marker_heals_to_the_newest_valid_slot() {
-        let store = sample_store();
-        let mut m = MemMedia::new();
-        store.save_to(&mut m).unwrap();
-        m.rot_durable("marker", 0xBEEF, 3);
-        m.power_cut();
-        let (healed, scrub) = Store::load_from(&mut m).unwrap().unwrap();
-        assert!(scrub.healed_marker);
-        assert_eq!(scrub.healed_slot, None);
-        assert_eq!(decode_marker(&healed.marker).unwrap(), (1, 9));
-    }
-
-    #[test]
-    fn both_slots_rotten_is_a_typed_error() {
-        let store = sample_store();
-        let mut m = MemMedia::new();
-        store.save_to(&mut m).unwrap();
-        m.rot_durable("slot0", 1, 4);
-        m.rot_durable("slot1", 2, 4);
-        m.power_cut();
-        assert!(matches!(
-            Store::load_from(&mut m),
-            Err(PersistError::Corrupt(_))
-        ));
     }
 
     #[test]

@@ -75,6 +75,34 @@ pub enum CrashMode {
 }
 
 impl CrashMode {
+    /// Every crash point, once: the four step-protocol points, a quiet
+    /// point two demand writes after a commit, and the three checkpoint
+    /// phases.
+    pub const ALL: [CrashMode; 8] = [
+        CrashMode::TornRecord,
+        CrashMode::RecordedNotApplied,
+        CrashMode::HalfApplied,
+        CrashMode::AppliedNoMarker,
+        CrashMode::AfterCommit { extra_writes: 2 },
+        CrashMode::CheckpointTornSnapshot,
+        CrashMode::CheckpointTornMarker,
+        CrashMode::CheckpointNotTruncated,
+    ];
+
+    /// Stable lowercase name (CSV columns, logs).
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashMode::TornRecord => "torn_record",
+            CrashMode::RecordedNotApplied => "recorded_not_applied",
+            CrashMode::HalfApplied => "half_applied",
+            CrashMode::AppliedNoMarker => "applied_no_marker",
+            CrashMode::AfterCommit { .. } => "after_commit",
+            CrashMode::CheckpointTornSnapshot => "ckpt_torn_snapshot",
+            CrashMode::CheckpointTornMarker => "ckpt_torn_marker",
+            CrashMode::CheckpointNotTruncated => "ckpt_not_truncated",
+        }
+    }
+
     /// Whether this mode strikes inside the checkpoint-installation
     /// protocol rather than the step protocol.
     pub fn is_checkpoint_phase(self) -> bool {

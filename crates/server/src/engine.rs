@@ -62,6 +62,7 @@ use crate::proto::{
 };
 use crate::shelf::{
     checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy, SaveOutcome,
+    ShelfState,
 };
 
 /// The scheme stack a server bank runs.
@@ -306,38 +307,11 @@ pub fn boot(
                     "srbsg-server: shelf scrub read rotten log copy {copy}'s records from its twin"
                 );
             }
-            let generation = state.generation + 1;
-            let mut report = BootReport {
-                generation,
-                recovered: true,
-                acked_writes: state.acked_writes,
-                save_seq: state.save_seq + 1,
-                healed_shelf_slot: scrub.healed_slot.is_some() || scrub.healed_log.is_some(),
-                ..BootReport::default()
-            };
-            let mut banks = Vec::with_capacity(state.banks.len());
-            for (b, bs) in state.banks.iter().enumerate() {
-                let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
-                let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
-                let (jw, rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-                    &bs.store, &mut bank, rekey, pol,
-                )
-                .map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bank {b} recovery failed: {e:?}"),
-                    )
-                })?;
-                report.replayed_steps += rec.replayed_steps;
-                report.rekey_movements += rec.rekey_movements;
-                let mut mc = MemoryController::from_bank(jw, bank);
-                mc.advance_clock(state.now_ns);
-                banks.push(mc);
-            }
-            let mut fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
+            let (mut fe, mut report) = restore(&state, pol, cfg.serve)?;
+            report.healed_shelf_slot = scrub.healed_slot.is_some() || scrub.healed_log.is_some();
             let stamp = CommitStamp {
                 save_seq: report.save_seq,
-                generation,
+                generation: report.generation,
                 seed: state.seed,
                 acked_writes: state.acked_writes,
             };
@@ -345,6 +319,49 @@ pub fn boot(
             Ok((fe, shelf, report))
         }
     }
+}
+
+/// Rebuild a serving front-end from a loaded shelf image, as the next
+/// generation: restore every bank, re-key its Security RBSG mapping from
+/// a fresh per-generation seed, replay its journal, and advance the device
+/// clock to the image's. The returned report carries the new generation,
+/// the recovery counts and the `save_seq` the next commit takes; the
+/// caller fills in what the load scrub found. This is the one place the
+/// re-key seed is derived.
+pub fn restore(
+    state: &ShelfState,
+    policy: CheckpointPolicy,
+    serve: ServeConfig,
+) -> std::io::Result<(FrontEnd<ServerScheme>, BootReport)> {
+    let generation = state.generation + 1;
+    let mut report = BootReport {
+        generation,
+        recovered: true,
+        acked_writes: state.acked_writes,
+        save_seq: state.save_seq + 1,
+        ..BootReport::default()
+    };
+    let mut banks = Vec::with_capacity(state.banks.len());
+    for (b, bs) in state.banks.iter().enumerate() {
+        let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
+        let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
+        let (jw, rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
+            &bs.store, &mut bank, rekey, policy,
+        )
+        .map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("bank {b} recovery failed: {e:?}"),
+            )
+        })?;
+        report.replayed_steps += rec.replayed_steps;
+        report.rekey_movements += rec.rekey_movements;
+        let mut mc = MemoryController::from_bank(jw, bank);
+        mc.advance_clock(state.now_ns);
+        banks.push(mc);
+    }
+    let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), serve);
+    Ok((fe, report))
 }
 
 fn reject_to_wire(rej: &Rejected, stats: &SharedStats) -> (ErrCode, u64) {

@@ -37,7 +37,7 @@ pub mod proto;
 pub mod shelf;
 
 pub use client::{Client, Endpoint, Listener, Stream};
-pub use engine::{boot, run, BootReport, ServerConfig, ServerScheme};
+pub use engine::{boot, restore, run, BootReport, ServerConfig, ServerScheme};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, ErrCode, FrameError,

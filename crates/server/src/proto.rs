@@ -101,9 +101,7 @@ fn structural(e: PersistError) -> FrameError {
     match e {
         PersistError::Truncated => FrameError::Malformed("payload truncated"),
         PersistError::Corrupt(what) => FrameError::Malformed(what),
-        PersistError::PowerLost | PersistError::Media(_) => {
-            FrameError::Malformed("impossible decode error")
-        }
+        PersistError::PowerLost => FrameError::Malformed("impossible decode error"),
     }
 }
 
