@@ -17,7 +17,8 @@
 //!   power cut;
 //! * [`DirMedia`] — a real directory; `sync` flushes every dirty file
 //!   **and the directory itself**, propagating failures instead of
-//!   discarding them;
+//!   discarding them; appends go through held-open handles, dropped
+//!   whenever the name is replaced, renamed or removed;
 //! * [`FaultyMedia`] — a wrapper around any medium with a seeded,
 //!   deterministic [`FaultPlan`]: short writes and appends (torn tails),
 //!   transient EIO, persistent ENOSPC, fsync-reported-success-then-lost,
@@ -316,12 +317,20 @@ fn io_err(op: MediaOp) -> impl Fn(io::Error) -> MediaError {
 /// every failure — a failed directory sync fails the barrier, it is never
 /// discarded. With `fsync` disabled the barrier is a no-op: sufficient for
 /// process-kill durability (the page cache survives), not for power loss.
+///
+/// [`Media::append`] keeps one open handle per file name, so a steady
+/// stream of appends opens each file once. A handle is dropped whenever
+/// its name stops naming the file it was opened on — on
+/// [`Media::write`], on [`Media::rename`] (both `from` and `to`), and on
+/// [`Media::remove`] — and after a failed append, so an append never
+/// lands in a replaced or unlinked file.
 #[derive(Debug)]
 pub struct DirMedia {
     dir: PathBuf,
     fsync: bool,
     dirty: Vec<String>,
     dir_dirty: bool,
+    appends: BTreeMap<String, std::fs::File>,
 }
 
 impl DirMedia {
@@ -333,6 +342,7 @@ impl DirMedia {
             fsync,
             dirty: Vec::new(),
             dir_dirty: false,
+            appends: BTreeMap::new(),
         })
     }
 
@@ -358,6 +368,7 @@ impl Media for DirMedia {
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.appends.remove(name);
         std::fs::write(self.dir.join(name), bytes).map_err(io_err(MediaOp::Write))?;
         self.mark_dirty(name);
         Ok(())
@@ -365,17 +376,26 @@ impl Media for DirMedia {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
         use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(name))
-            .map_err(io_err(MediaOp::Append))?;
-        file.write_all(bytes).map_err(io_err(MediaOp::Append))?;
+        if !self.appends.contains_key(name) {
+            let file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(name))
+                .map_err(io_err(MediaOp::Append))?;
+            self.appends.insert(name.to_string(), file);
+        }
+        let file = self.appends.get_mut(name).expect("opened above");
+        if let Err(e) = file.write_all(bytes) {
+            self.appends.remove(name);
+            return Err(io_err(MediaOp::Append)(e));
+        }
         self.mark_dirty(name);
         Ok(())
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
+        self.appends.remove(from);
+        self.appends.remove(to);
         std::fs::rename(self.dir.join(from), self.dir.join(to)).map_err(io_err(MediaOp::Rename))?;
         self.dirty.retain(|d| d != from && d != to);
         self.mark_dirty(to);
@@ -384,6 +404,7 @@ impl Media for DirMedia {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), MediaError> {
+        self.appends.remove(name);
         match std::fs::remove_file(self.dir.join(name)) {
             Ok(()) => {
                 self.dirty.retain(|d| d != name);
@@ -1015,6 +1036,99 @@ mod tests {
         m.remove("a").unwrap();
         assert_eq!(m.read("a").unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("srbsg_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file of `dir` and `mem` agrees, by listing and by contents.
+    fn assert_same(dir: &mut DirMedia, mem: &mut MemMedia, names: &[&str], what: &str) {
+        assert_eq!(dir.list().unwrap(), mem.list().unwrap(), "{what}: list");
+        for name in names {
+            assert_eq!(
+                dir.read(name).unwrap(),
+                mem.read(name).unwrap(),
+                "{what}: {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn dir_media_matches_mem_media_op_for_op() {
+        const NAMES: [&str; 3] = ["log", "log.tmp", "state"];
+        let path = scratch_dir("dirdiff");
+        let mut dir = DirMedia::open(&path, false).unwrap();
+        let mut mem = MemMedia::new();
+        let mut s = 0xD1FF_u64;
+        let mut pick = |n: u64| {
+            s = splitmix64(s);
+            s % n
+        };
+        for step in 0..2_000 {
+            let name = NAMES[pick(3) as usize];
+            let bytes: Vec<u8> = (0..pick(6)).map(|_| pick(256) as u8).collect();
+            let (d, m) = match pick(8) {
+                0 | 1 => (dir.write(name, &bytes), mem.write(name, &bytes)),
+                2..=4 => (dir.append(name, &bytes), mem.append(name, &bytes)),
+                5 => {
+                    let to = NAMES[pick(3) as usize];
+                    (dir.rename(name, to), mem.rename(name, to))
+                }
+                6 => (dir.remove(name), mem.remove(name)),
+                _ => (dir.sync(), mem.sync()),
+            };
+            assert_eq!(d, m, "step {step}");
+            assert_same(&mut dir, &mut mem, &NAMES, &format!("step {step}"));
+        }
+        let _ = std::fs::remove_dir_all(&path);
+    }
+
+    #[test]
+    fn an_append_after_replacing_its_file_lands_in_the_new_file() {
+        let path = scratch_dir("dirreplace");
+        type Replace = fn(&mut dyn Media);
+        let cases: [(&str, Replace, &[u8]); 3] = [
+            ("remove", |m| m.remove("log").unwrap(), b"new"),
+            ("write", |m| m.write("log", b"w").unwrap(), b"wnew"),
+            (
+                "rename onto",
+                |m| {
+                    m.write("log.tmp", b"t").unwrap();
+                    m.rename("log.tmp", "log").unwrap();
+                },
+                b"tnew",
+            ),
+        ];
+        for (what, replace, expect) in cases {
+            let mut dir = DirMedia::open(&path, false).unwrap();
+            let mut mem = MemMedia::new();
+            for m in [&mut dir as &mut dyn Media, &mut mem] {
+                m.append("log", b"old").unwrap();
+                replace(m);
+                m.append("log", b"new").unwrap();
+            }
+            assert_same(&mut dir, &mut mem, &["log", "log.tmp"], what);
+            assert_eq!(dir.read("log").unwrap().unwrap(), expect, "{what}");
+            dir.remove("log").unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&path);
+    }
+
+    #[test]
+    fn a_second_append_reuses_the_open_handle() {
+        let path = scratch_dir("dirhandle");
+        let mut dir = DirMedia::open(&path, false).unwrap();
+        dir.append("log", b"one").unwrap();
+        // Move the file behind the medium's back: a reopen would create a
+        // fresh `log`, the held handle still writes to the moved file.
+        std::fs::rename(path.join("log"), path.join("moved")).unwrap();
+        dir.append("log", b"two").unwrap();
+        assert_eq!(dir.read("log").unwrap(), None);
+        assert_eq!(dir.read("moved").unwrap().unwrap(), b"onetwo");
+        let _ = std::fs::remove_dir_all(&path);
     }
 
     #[test]

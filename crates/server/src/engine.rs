@@ -13,10 +13,13 @@
 //!
 //! One **engine** thread owns the [`FrontEnd`] and the disk shelf; each
 //! connection gets a reader thread (frame decode, timeout policing,
-//! overload shedding) and a writer thread (response encode). The reader's
-//! [`crate::proto::FrameReader`] and the writer's scratch buffer are the
-//! only buffers on the steady-state path — request decode and response
-//! encode allocate nothing per request.
+//! overload shedding) and a writer thread (response encode). The writer
+//! drains its queue and writes once per drain: every reply queued when it
+//! wakes is encoded into one buffer and sent with a single socket write,
+//! so a pipelined round of requests costs one write, not one per reply.
+//! The reader's [`crate::proto::FrameReader`] and the writer's scratch
+//! buffer are the only buffers on the steady-state path — request decode
+//! and response encode allocate nothing per request.
 //!
 //! # Durability contract
 //!
@@ -558,19 +561,33 @@ fn engine_loop(
     }
 }
 
-fn writer_loop(mut stream: Stream, rx: mpsc::Receiver<WriterMsg>, inflight: Arc<AtomicU64>) {
+/// Most bytes the writer gathers into one socket write; the drain stops
+/// taking queued replies once its buffer reaches this.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
+/// A connection's writer: block for the first queued reply, drain every
+/// reply already queued behind it (up to [`WRITE_BATCH_BYTES`]) into one
+/// buffer, and send the buffer with a single write. The drained engine
+/// replies leave `inflight` after that write — also when it fails (peer
+/// gone), so the reader's flush wait still ends; the loop then keeps
+/// draining until every sender is gone.
+fn writer_loop(mut out: impl std::io::Write, rx: mpsc::Receiver<WriterMsg>, inflight: &AtomicU64) {
     let mut scratch = Vec::with_capacity(128);
-    while let Ok(msg) = rx.recv() {
+    while let Ok(first) = rx.recv() {
         scratch.clear();
-        encode_response(&mut scratch, &msg.frame);
-        let res = stream.write_all(&scratch);
-        if msg.engine_reply {
-            inflight.fetch_sub(1, Ordering::AcqRel);
+        let mut engine_replies = 0;
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            encode_response(&mut scratch, &msg.frame);
+            engine_replies += u64::from(msg.engine_reply);
+            next = if scratch.len() < WRITE_BATCH_BYTES {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
         }
-        if res.is_err() {
-            // Keep draining the queue so in-flight counts still settle.
-            continue;
-        }
+        let _ = out.write_all(&scratch);
+        inflight.fetch_sub(engine_replies, Ordering::AcqRel);
     }
 }
 
@@ -587,7 +604,7 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
         };
         let _ = ws.set_write_timeout(Some(Duration::from_secs(5)));
         let infl = inflight.clone();
-        thread::spawn(move || writer_loop(ws, wrx, infl))
+        thread::spawn(move || writer_loop(ws, wrx, &infl))
     };
 
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -910,6 +927,117 @@ mod tests {
             .collect();
         assert_eq!(got, expect, "logical contents must survive recovery");
         let _ = std::fs::remove_dir_all(&cfg.data_dir);
+    }
+
+    /// A socket stand-in that records every write call, or fails every
+    /// one like a socket whose peer has gone.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        fail: bool,
+    }
+
+    impl std::io::Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn reply(req_id: u64) -> WriterMsg {
+        WriterMsg {
+            frame: ResponseFrame {
+                req_id,
+                resp: WireResponse::ReadOk {
+                    data: LineData::Mixed(req_id as u32),
+                    latency_ns: 100,
+                },
+            },
+            engine_reply: true,
+        }
+    }
+
+    fn encoded(ids: std::ops::Range<u64>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for id in ids {
+            encode_response(&mut buf, &reply(id).frame);
+        }
+        buf
+    }
+
+    #[test]
+    fn the_writer_sends_a_queued_round_in_one_write() {
+        let (tx, rx) = mpsc::channel();
+        for id in 0..8 {
+            tx.send(reply(id)).unwrap();
+        }
+        drop(tx);
+        let inflight = AtomicU64::new(8);
+        let mut out = Recorder::default();
+        writer_loop(&mut out, rx, &inflight);
+        assert_eq!(out.writes.len(), 1, "8 queued replies, one write");
+        assert_eq!(out.writes[0], encoded(0..8), "all 8 frames, in order");
+        assert_eq!(inflight.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn one_write_stops_at_the_byte_cap() {
+        let frame_len = encoded(0..1).len();
+        let n = (3 * WRITE_BATCH_BYTES / frame_len) as u64;
+        let (tx, rx) = mpsc::channel();
+        for id in 0..n {
+            tx.send(reply(id)).unwrap();
+        }
+        drop(tx);
+        let inflight = AtomicU64::new(n);
+        let mut out = Recorder::default();
+        writer_loop(&mut out, rx, &inflight);
+        assert!(out.writes.len() >= 3, "{} writes", out.writes.len());
+        for w in &out.writes {
+            assert!(w.len() < WRITE_BATCH_BYTES + frame_len, "{} bytes", w.len());
+        }
+        assert_eq!(out.writes.concat(), encoded(0..n));
+        assert_eq!(inflight.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn failed_writes_still_settle_inflight() {
+        let (tx, rx) = mpsc::channel();
+        for id in 0..8 {
+            tx.send(reply(id)).unwrap();
+        }
+        // A direct reply never entered the in-flight count.
+        tx.send(WriterMsg {
+            frame: ResponseFrame {
+                req_id: 99,
+                resp: WireResponse::Pong,
+            },
+            engine_reply: false,
+        })
+        .unwrap();
+        let inflight = Arc::new(AtomicU64::new(16));
+        let writer = {
+            let inflight = inflight.clone();
+            let out = Recorder {
+                fail: true,
+                ..Recorder::default()
+            };
+            thread::spawn(move || writer_loop(out, rx, &inflight))
+        };
+        // Replies that arrive after the first failed write settle too.
+        for id in 8..16 {
+            tx.send(reply(id)).unwrap();
+        }
+        drop(tx);
+        writer.join().unwrap();
+        assert_eq!(inflight.load(Ordering::Acquire), 0);
     }
 
     #[test]

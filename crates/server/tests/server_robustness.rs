@@ -4,14 +4,17 @@
 //! slow-loris/idle timeouts and out-of-range shedding behave as
 //! documented.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use srbsg_pcm::LineData;
 use srbsg_persist::crc64;
 use srbsg_server::{
-    encode_request, os, Client, Endpoint, ErrCode, RequestFrame, WireRequest, WireResponse,
+    encode_request, os, Client, Endpoint, ErrCode, RequestFrame, ResponseFrame, WireRequest,
+    WireResponse,
 };
 
 struct TestServer {
@@ -25,6 +28,11 @@ impl TestServer {
         let dir = std::env::temp_dir().join(format!("srbsg_rob_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        Self::spawn(dir)
+    }
+
+    /// Boot a server on `dir`, recovering whatever shelf it holds.
+    fn spawn(dir: PathBuf) -> Self {
         let sock = dir.join("s.sock");
         let child = Command::new(env!("CARGO_BIN_EXE_srbsg-server"))
             .args([
@@ -75,11 +83,17 @@ impl TestServer {
             .expect("server must still answer pings");
     }
 
-    fn stop(mut self) {
+    /// `SIGTERM` and wait: the drain must exit 0. The data directory
+    /// stays for a restart.
+    fn terminate(mut self) -> PathBuf {
         os::send_signal(self.child.id(), os::SIGTERM).expect("SIGTERM");
         let status = self.child.wait().expect("wait");
         assert_eq!(status.code(), Some(0), "drain must exit 0");
-        let _ = std::fs::remove_dir_all(&self.dir);
+        self.dir
+    }
+
+    fn stop(self) {
+        let _ = std::fs::remove_dir_all(self.terminate());
     }
 }
 
@@ -237,5 +251,126 @@ fn out_of_range_addresses_are_typed_rejections() {
     }
     // The connection stays usable after a typed rejection.
     c.ping().expect("ping after rejection");
+    server.stop();
+}
+
+/// Requests in one pipelined window.
+const WINDOW: u64 = 64;
+
+/// One window of [`WINDOW`] requests with ids `id_base..`: 30 writes of
+/// `tag + la` to lines 0..30, 30 reads of lines 32..62 (never written),
+/// two pings, a stats request and a read of an out-of-range address.
+fn window(id_base: u64, tag: u32) -> Vec<RequestFrame> {
+    let mut plain = 0;
+    (0..WINDOW)
+        .map(|i| {
+            let req = match i {
+                7 | 40 => WireRequest::Ping,
+                21 => WireRequest::Stats,
+                50 => WireRequest::Read { la: 1 << 40 },
+                _ => {
+                    plain += 1;
+                    let la = (plain - 1) / 2;
+                    if plain % 2 == 1 {
+                        WireRequest::Write {
+                            la,
+                            data: LineData::Mixed(tag + la as u32),
+                        }
+                    } else {
+                        WireRequest::Read { la: 32 + la }
+                    }
+                }
+            };
+            RequestFrame {
+                req_id: id_base + i,
+                req,
+            }
+        })
+        .collect()
+}
+
+/// Send every frame of `frames` in one write.
+fn send_window(c: &mut Client, frames: &[RequestFrame]) {
+    let mut bytes = Vec::new();
+    for f in frames {
+        encode_request(&mut bytes, f);
+    }
+    c.send_raw(&bytes).expect("send the window");
+}
+
+/// Collect one reply per frame of a sent window, checking that each
+/// request id is answered exactly once and with its request's response
+/// type (or, while `draining`, a `ShuttingDown` refusal of a device
+/// request). Returns the acknowledged writes as (line, data).
+fn collect_window(c: &mut Client, frames: &[RequestFrame], draining: bool) -> Vec<(u64, LineData)> {
+    let mut replies: BTreeMap<u64, ResponseFrame> = BTreeMap::new();
+    for _ in frames {
+        let r = c.recv().expect("a reply for every request");
+        let id = r.req_id;
+        assert!(
+            replies.insert(id, r).is_none(),
+            "req_id {id} answered twice"
+        );
+    }
+    let mut acked = Vec::new();
+    for f in frames {
+        let r = &replies.get(&f.req_id).expect("every req_id answered").resp;
+        match (&f.req, r) {
+            (WireRequest::Ping, WireResponse::Pong) => {}
+            (WireRequest::Stats, WireResponse::StatsOk(_)) => {}
+            (WireRequest::Write { la, data }, WireResponse::WriteOk { .. }) => {
+                acked.push((*la, *data));
+            }
+            (WireRequest::Read { la }, WireResponse::ReadOk { data, .. }) if *la < 1 << 40 => {
+                assert_eq!(*data, LineData::Zeros, "line {la} is never written");
+            }
+            (
+                WireRequest::Read { la },
+                WireResponse::Err {
+                    code: ErrCode::AddressOutOfRange,
+                    aux,
+                },
+            ) => assert_eq!(aux, la),
+            (
+                WireRequest::Read { .. } | WireRequest::Write { .. },
+                WireResponse::Err {
+                    code: ErrCode::ShuttingDown,
+                    ..
+                },
+            ) if draining => {}
+            (req, resp) => panic!("req_id {}: {req:?} answered with {resp:?}", f.req_id),
+        }
+    }
+    acked
+}
+
+#[test]
+fn a_pipelined_window_gets_every_reply_and_survives_a_drain() {
+    let server = TestServer::start("window");
+    let mut c = server.client();
+    let mut ledger: BTreeMap<u64, LineData> = BTreeMap::new();
+
+    let frames = window(1, 100);
+    send_window(&mut c, &frames);
+    let acked = collect_window(&mut c, &frames, false);
+    assert_eq!(acked.len(), 30, "a live server acks every write");
+    ledger.extend(acked);
+
+    // A second window with the drain racing it: every request is still
+    // answered, and the connection then closes cleanly.
+    let frames = window(1 + WINDOW, 200);
+    send_window(&mut c, &frames);
+    os::send_signal(server.child.id(), os::SIGTERM).expect("SIGTERM");
+    ledger.extend(collect_window(&mut c, &frames, true));
+    let err = c.recv().expect_err("the drain closes the connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    let dir = server.terminate();
+
+    // Every acked write survives the restart.
+    let server = TestServer::spawn(dir);
+    let mut c = server.client();
+    for (la, data) in &ledger {
+        assert_eq!(c.read(*la).unwrap().unwrap(), *data, "line {la}");
+    }
     server.stop();
 }
