@@ -110,6 +110,12 @@ impl Enc {
         }
     }
 
+    /// An encoder that appends to `buf`, keeping its bytes and capacity;
+    /// [`Enc::into_bytes`] hands the buffer back.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Consume the encoder and return the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

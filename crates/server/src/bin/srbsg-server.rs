@@ -21,8 +21,8 @@ FLAGS:
     --sub-regions R        Security RBSG sub-regions   [4]
     --seed S               base seed                   [0x5EC012B5]
     --fsync                fsync shelf saves (power-loss durability)
-    --max-conns N          concurrent connection cap   [64]
-    --inflight N           engine queue bound          [1024]
+    --max-conns N          connection cap; each open
+                           connection is one thread    [64]
     --idle-timeout-ms MS   idle connection timeout     [30000]
     --frame-timeout-ms MS  mid-frame (slow-loris) timeout [5000]
     --deadline-ns NS       per-request simulated deadline budget [none]
@@ -31,7 +31,7 @@ FLAGS:
 
 ENV:
     SRBSG_SERVER_JOBS      submit_batch worker threads [1]
-    SRBSG_SERVER_BATCH     engine batch coalescing cap [64]
+    SRBSG_SERVER_BATCH     max requests per commit     [64]
 
 The server prints one line on startup:
     srbsg-server listening on <endpoint> pid=... generation=...
@@ -67,9 +67,6 @@ fn parse_args() -> Result<ServerConfig, String> {
             "--fsync" => cfg.fsync = true,
             "--max-conns" => {
                 cfg.max_conns = parse_num(&next(&mut args, "--max-conns")?, "--max-conns")?
-            }
-            "--inflight" => {
-                cfg.inflight_max = parse_num(&next(&mut args, "--inflight")?, "--inflight")?
             }
             "--idle-timeout-ms" => {
                 cfg.idle_timeout = Duration::from_millis(parse_num(

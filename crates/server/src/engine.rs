@@ -1,53 +1,60 @@
-//! The server runtime: accept loop, per-connection reader/writer threads,
-//! a single-threaded device engine, durable ack ordering, graceful drain,
-//! and `SIGKILL` recovery.
+//! The server runtime: accept loop, one thread per connection that runs
+//! each request round to completion, durable ack ordering, graceful
+//! drain, and `SIGKILL` recovery.
 //!
 //! # Thread structure
 //!
 //! ```text
-//! accept loop ──spawns──▶ conn reader ──bounded channel──▶ engine
-//!                             │  ▲                            │
-//!                             ▼  │ direct replies             │ completions
-//!                         conn writer ◀───────────────────────┘
+//! accept loop ──spawns──▶ connection thread (one per connection)
+//!
+//!   read ──▶ decode every buffered frame ──┬──▶ direct reply ─────────────┐
+//!                                          ▼                              ▼
+//!                            device requests ──▶ engine lock:       reply buffer
+//!                                                submit_batch ──▶        │
+//!                                                commit ──▶ encode ──────┤
+//!                                                                        ▼
+//!                                                one socket write, unlocked
 //! ```
 //!
-//! One **engine** thread owns the [`FrontEnd`] and the disk shelf; each
-//! connection gets a reader thread (frame decode, timeout policing,
-//! overload shedding) and a writer thread (response encode). The writer
-//! drains its queue and writes once per drain: every reply queued when it
-//! wakes is encoded into one buffer and sent with a single socket write,
-//! so a pipelined round of requests costs one write, not one per reply.
-//! The reader's [`crate::proto::FrameReader`] and the writer's scratch
+//! The server runs 1 + open-connections threads. The device engine — the
+//! [`FrontEnd`], the disk shelf and the commit counters — sits behind one
+//! `Mutex` in the state every connection shares. A connection thread
+//! decodes every frame its last read buffered. Pings, stats and requests
+//! it can refuse outright (`ShuttingDown`, `AddressOutOfRange`) are
+//! encoded straight into its reply buffer; device requests go through the
+//! engine `batch_max` at a time, each chunk under the lock. The thread
+//! then sends the whole reply buffer with one socket write, after the
+//! lock is released, so a peer that stops reading blocks only its own
+//! thread. The connection's [`crate::proto::FrameReader`] and reply
 //! buffer are the only buffers on the steady-state path — request decode
 //! and response encode allocate nothing per request.
 //!
 //! # Durability contract
 //!
-//! After every batch that acknowledged at least one write, and **before**
-//! any of that batch's responses are handed to writer threads, the engine
-//! commits the batch to the shelf ([`commit_with_healing`]): one record
-//! holding the slots the batch touched and the journal bytes it appended,
-//! appended to both copies of the shelf's delta log behind a doubled
-//! barrier. When the log has grown to the size of the device image, the
-//! commit writes a full checkpoint instead (dual-slot atomic rename) and
-//! empties the log. `WriteOk` on the wire therefore implies the write is
-//! recoverable, which is exactly the invariant the chaos harness audits
-//! across `SIGKILL`.
+//! Under the engine lock, every chunk that acknowledged at least one
+//! write is committed to the shelf ([`commit_with_healing`]) **before**
+//! any of its replies are encoded: one record holding the slots the chunk
+//! touched and the journal bytes it appended, appended to both copies of
+//! the shelf's delta log behind a doubled barrier. When the log has grown
+//! to the size of the device image, the commit writes a full checkpoint
+//! instead (dual-slot atomic rename) and empties the log. `WriteOk` on
+//! the wire therefore implies the write is recoverable, which is exactly
+//! the invariant the chaos harness audits across `SIGKILL`.
 //!
 //! # Drain state machine
 //!
-//! `SIGTERM`/`SIGINT` → accept loop stops accepting and drops its engine
-//! sender → connection readers answer new requests with
-//! [`ErrCode::ShuttingDown`], wait for their in-flight responses to
-//! flush, and close → once the last sender is gone the engine's queue
-//! disconnects → the engine runs [`FrontEnd::drain_checkpoint`],
-//! checkpoints the shelf a final time, and the process exits 0.
+//! `SIGTERM`/`SIGINT` → the accept loop stops accepting and sets the
+//! drain flag → connection threads answer new device requests with
+//! [`ErrCode::ShuttingDown`] and close at their next read timeout (a
+//! round already decoded runs to completion first) → once no connection
+//! is open, the accept thread takes the engine lock, runs
+//! [`FrontEnd::drain_checkpoint`], checkpoints the shelf a final time,
+//! and the process exits 0.
 
-use std::io::Write as _;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -94,10 +101,9 @@ pub struct ServerConfig {
     pub deadline_ns: Option<u64>,
     /// Worker threads for `submit_batch`.
     pub jobs: usize,
-    /// Largest request batch the engine coalesces.
+    /// Largest request chunk a connection submits under one engine
+    /// lock (and one commit).
     pub batch_max: usize,
-    /// Bound on requests queued for the engine (then: typed overload).
-    pub inflight_max: usize,
     /// Bound on concurrent connections (then: typed overload + close).
     pub max_conns: usize,
     /// Close a connection idle this long between frames.
@@ -127,7 +133,6 @@ impl Default for ServerConfig {
             deadline_ns: None,
             jobs: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_JOBS", 1, 1),
             batch_max: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_BATCH", 1, 64),
-            inflight_max: 1024,
             max_conns: 64,
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(5),
@@ -217,24 +222,65 @@ impl SharedStats {
     }
 }
 
+/// The state every connection thread shares: counters (the drain flag
+/// among them), the request policy, and the device engine behind its
+/// lock.
 struct Shared {
     stats: SharedStats,
-    draining: AtomicBool,
     logical_lines: u64,
     idle_timeout: Duration,
     frame_timeout: Duration,
+    batch_max: usize,
+    jobs: usize,
+    deadline_ns: Option<u64>,
+    engine: Mutex<Engine>,
 }
 
-/// Response handed to a connection's writer thread. `engine_reply` marks
-/// responses completing an engine round-trip, whose flush decrements the
-/// connection's in-flight counter.
-struct WriterMsg {
-    frame: ResponseFrame,
-    engine_reply: bool,
+impl Shared {
+    /// Shared state for a booted device; the engine's next commit takes
+    /// the `save_seq` after the boot's.
+    fn new(
+        cfg: &ServerConfig,
+        fe: FrontEnd<ServerScheme>,
+        shelf: DiskShelf,
+        boot: &BootReport,
+    ) -> Self {
+        Self {
+            stats: SharedStats::new(boot.generation),
+            logical_lines: fe.system().logical_lines(),
+            idle_timeout: cfg.idle_timeout,
+            frame_timeout: cfg.frame_timeout,
+            batch_max: cfg.batch_max.max(1),
+            jobs: cfg.jobs,
+            deadline_ns: cfg.deadline_ns,
+            engine: Mutex::new(Engine {
+                fe,
+                shelf,
+                stamp: CommitStamp {
+                    save_seq: boot.save_seq,
+                    generation: boot.generation,
+                    seed: cfg.seed,
+                    acked_writes: boot.acked_writes,
+                },
+                read_only: false,
+            }),
+        }
+    }
+
+    fn draining(&self) -> bool {
+        self.stats.draining.load(Ordering::Acquire)
+    }
+
+    /// The engine, or an error once a thread has panicked holding it.
+    fn engine(&self) -> std::io::Result<MutexGuard<'_, Engine>> {
+        self.engine
+            .lock()
+            .map_err(|_| std::io::Error::other("a connection thread panicked holding the engine"))
+    }
 }
 
-struct EngineMsg {
-    resp: mpsc::Sender<WriterMsg>,
+/// A decoded device request waiting for its round's turn at the engine.
+struct Pending {
     req_id: u64,
     la: u64,
     op: Op,
@@ -404,98 +450,56 @@ fn clamp_ns(ns: Ns) -> u64 {
     ns.min(u64::MAX as Ns) as u64
 }
 
-struct EngineState {
+/// The device engine: the front-end, its shelf and the commit counters.
+/// A connection thread holds it for one chunk of requests — submit,
+/// commit, encode — and never across a socket read or write.
+struct Engine {
     fe: FrontEnd<ServerScheme>,
     shelf: DiskShelf,
     stamp: CommitStamp,
     read_only: bool,
 }
 
-fn engine_loop(
-    mut st: EngineState,
-    rx: mpsc::Receiver<EngineMsg>,
-    shared: Arc<Shared>,
-    cfg: ServerConfig,
-) -> std::io::Result<()> {
-    loop {
-        let first = match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let mut msgs = vec![first];
-        while msgs.len() < cfg.batch_max {
-            match rx.try_recv() {
-                Ok(m) => msgs.push(m),
-                Err(_) => break,
-            }
-        }
-        let arrival = st.fe.system().now_ns();
-        let deadline = cfg
+impl Engine {
+    /// Run one chunk of device requests to completion: submit it, commit
+    /// its acknowledged writes, and only then encode its replies, in
+    /// request order, into `out`.
+    fn run_chunk(&mut self, chunk: &[Pending], shared: &Shared, out: &mut Vec<u8>) {
+        let arrival = self.fe.system().now_ns();
+        let deadline = shared
             .deadline_ns
             .map(|d| arrival + d as Ns)
             .unwrap_or(Ns::MAX);
-        let batch: Vec<Request> = msgs
+        let batch: Vec<Request> = chunk
             .iter()
-            .map(|m| Request {
-                la: m.la,
-                op: m.op,
+            .map(|p| Request {
+                la: p.la,
+                op: p.op,
                 arrival_ns: arrival,
                 deadline_ns: deadline,
             })
             .collect();
-        let mut completions = st.fe.submit_batch(batch, cfg.jobs);
+        let mut completions = self.fe.submit_batch(batch, shared.jobs);
         completions.sort_by_key(|c| c.id);
-        debug_assert_eq!(completions.len(), msgs.len());
+        debug_assert_eq!(completions.len(), chunk.len());
 
         let new_acks = completions
             .iter()
-            .zip(&msgs)
-            .filter(|(c, m)| c.result.is_ok() && matches!(m.op, Op::Write(_)))
+            .zip(chunk)
+            .filter(|(c, p)| c.result.is_ok() && matches!(p.op, Op::Write(_)))
             .count() as u64;
-        // Acks must not outrun durability: a batch with fresh write acks
-        // is committed *before* its responses dispatch, with self-healing
-        // — a failed append falls back to a checkpoint, transient media
-        // errors are retried away; persistent ENOSPC degrades the tier to
-        // typed read-only shedding; anything else refuses the acks and
-        // drains.
-        let mut persist_failed = false;
-        let mut entered_read_only = false;
-        if new_acks > 0 {
-            let committed = st.stamp;
-            st.stamp.acked_writes += new_acks;
-            st.stamp.save_seq += 1;
-            let policy = RetryPolicy::default();
-            match commit_with_healing(&mut st.shelf, st.fe.system_mut(), st.stamp, &policy) {
-                SaveOutcome::Saved { attempts } => {
-                    if attempts > 1 {
-                        eprintln!(
-                            "srbsg-server: shelf commit healed after {attempts} attempts (media errors)"
-                        );
-                    }
-                }
-                SaveOutcome::ReadOnly(e) => {
-                    eprintln!(
-                        "srbsg-server: shelf out of space ({e}); degrading to read-only serving"
-                    );
-                    st.stamp = committed;
-                    entered_read_only = true;
-                    st.read_only = true;
-                    st.fe.set_read_only(true);
-                }
-                SaveOutcome::Failed(e) => {
-                    eprintln!("srbsg-server: shelf commit failed, draining: {e}");
-                    st.stamp = committed;
-                    persist_failed = true;
-                    os::request_shutdown();
-                }
-            }
-        }
+        // Acks must not outrun durability: the chunk is committed before
+        // any of its replies exist.
+        let refused = if new_acks > 0 {
+            self.commit(new_acks)
+        } else {
+            None
+        };
 
-        for (c, m) in completions.iter().zip(&msgs) {
-            let is_write = matches!(m.op, Op::Write(_));
-            let resp = match (&c.result, (persist_failed || entered_read_only) && is_write) {
-                (Ok(s), false) => {
+        for (c, p) in completions.iter().zip(chunk) {
+            let is_write = matches!(p.op, Op::Write(_));
+            let resp = match (&c.result, refused.filter(|_| is_write)) {
+                (Ok(s), None) => {
                     if is_write {
                         shared.stats.served_writes.fetch_add(1, Ordering::Relaxed);
                         shared
@@ -514,15 +518,12 @@ fn engine_loop(
                         }
                     }
                 }
-                (Ok(_), true) => {
+                (Ok(_), Some(code)) => {
                     // The device applied this write but durability failed:
                     // the ack is refused with the typed reason.
-                    let code = if entered_read_only {
+                    if code == ErrCode::ReadOnly {
                         shared.stats.shed_read_only.fetch_add(1, Ordering::Relaxed);
-                        ErrCode::ReadOnly
-                    } else {
-                        ErrCode::ShuttingDown
-                    };
+                    }
                     WireResponse::Err { code, aux: 0 }
                 }
                 (Err(rej), _) => {
@@ -530,98 +531,156 @@ fn engine_loop(
                     WireResponse::Err { code, aux }
                 }
             };
-            // A dead connection just drops its responses.
-            let _ = m.resp.send(WriterMsg {
-                frame: ResponseFrame {
-                    req_id: m.req_id,
+            encode_response(
+                out,
+                &ResponseFrame {
+                    req_id: p.req_id,
                     resp,
                 },
-                engine_reply: true,
-            });
+            );
         }
     }
 
-    // Drain finale: compact journals into checkpoints and checkpoint the
-    // final image. Reached only when every connection has flushed. A
-    // read-only tier tolerates the final save failing for space — its
-    // durable state is exactly the last successful commit, by
-    // construction.
-    st.fe
-        .drain_checkpoint()
-        .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
-    st.stamp.save_seq += 1;
-    let policy = RetryPolicy::default();
-    match checkpoint_with_healing(&mut st.shelf, st.fe.system_mut(), st.stamp, &policy) {
-        SaveOutcome::Saved { .. } => Ok(()),
-        SaveOutcome::ReadOnly(e) if st.read_only => {
-            eprintln!("srbsg-server: final save skipped, shelf still out of space: {e}");
-            Ok(())
-        }
-        SaveOutcome::ReadOnly(e) | SaveOutcome::Failed(e) => Err(e.into()),
-    }
-}
-
-/// Most bytes the writer gathers into one socket write; the drain stops
-/// taking queued replies once its buffer reaches this.
-const WRITE_BATCH_BYTES: usize = 64 * 1024;
-
-/// A connection's writer: block for the first queued reply, drain every
-/// reply already queued behind it (up to [`WRITE_BATCH_BYTES`]) into one
-/// buffer, and send the buffer with a single write. The drained engine
-/// replies leave `inflight` after that write — also when it fails (peer
-/// gone), so the reader's flush wait still ends; the loop then keeps
-/// draining until every sender is gone.
-fn writer_loop(mut out: impl std::io::Write, rx: mpsc::Receiver<WriterMsg>, inflight: &AtomicU64) {
-    let mut scratch = Vec::with_capacity(128);
-    while let Ok(first) = rx.recv() {
-        scratch.clear();
-        let mut engine_replies = 0;
-        let mut next = Some(first);
-        while let Some(msg) = next {
-            encode_response(&mut scratch, &msg.frame);
-            engine_replies += u64::from(msg.engine_reply);
-            next = if scratch.len() < WRITE_BATCH_BYTES {
-                rx.try_recv().ok()
-            } else {
+    /// Commit `new_acks` acknowledged writes with self-healing: a failed
+    /// append falls back to a checkpoint and transient media errors are
+    /// retried away. When durability fails, returns the code that refuses
+    /// the acks: `ReadOnly` after persistent ENOSPC (the tier degrades to
+    /// typed read-only shedding), `ShuttingDown` after anything else (the
+    /// server drains).
+    fn commit(&mut self, new_acks: u64) -> Option<ErrCode> {
+        let committed = self.stamp;
+        self.stamp.acked_writes += new_acks;
+        self.stamp.save_seq += 1;
+        let policy = RetryPolicy::default();
+        match commit_with_healing(&mut self.shelf, self.fe.system_mut(), self.stamp, &policy) {
+            SaveOutcome::Saved { attempts } => {
+                if attempts > 1 {
+                    eprintln!(
+                        "srbsg-server: shelf commit healed after {attempts} attempts (media errors)"
+                    );
+                }
                 None
-            };
+            }
+            SaveOutcome::ReadOnly(e) => {
+                eprintln!("srbsg-server: shelf out of space ({e}); degrading to read-only serving");
+                self.stamp = committed;
+                self.read_only = true;
+                self.fe.set_read_only(true);
+                Some(ErrCode::ReadOnly)
+            }
+            SaveOutcome::Failed(e) => {
+                eprintln!("srbsg-server: shelf commit failed, draining: {e}");
+                self.stamp = committed;
+                os::request_shutdown();
+                Some(ErrCode::ShuttingDown)
+            }
         }
-        let _ = out.write_all(&scratch);
-        inflight.fetch_sub(engine_replies, Ordering::AcqRel);
+    }
+
+    /// Drain finale: compact journals into checkpoints and checkpoint the
+    /// final image. Runs once no connection is open. A read-only tier
+    /// tolerates the final save failing for space — its durable state is
+    /// exactly the last successful commit, by construction.
+    fn finish(&mut self) -> std::io::Result<()> {
+        self.fe
+            .drain_checkpoint()
+            .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
+        self.stamp.save_seq += 1;
+        let policy = RetryPolicy::default();
+        match checkpoint_with_healing(&mut self.shelf, self.fe.system_mut(), self.stamp, &policy) {
+            SaveOutcome::Saved { .. } => Ok(()),
+            SaveOutcome::ReadOnly(e) if self.read_only => {
+                eprintln!("srbsg-server: final save skipped, shelf still out of space: {e}");
+                Ok(())
+            }
+            SaveOutcome::ReadOnly(e) | SaveOutcome::Failed(e) => Err(e.into()),
+        }
     }
 }
 
-fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMsg>) {
-    let inflight = Arc::new(AtomicU64::new(0));
-    let (wtx, wrx) = mpsc::channel::<WriterMsg>();
-    let writer = {
-        let ws = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                shared.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        let _ = ws.set_write_timeout(Some(Duration::from_secs(5)));
-        let infl = inflight.clone();
-        thread::spawn(move || writer_loop(ws, wrx, &infl))
+/// Triage one decoded request: a reply that needs no device is encoded
+/// into `replies` at once; a device request joins `pending`.
+fn triage(frame: RequestFrame, shared: &Shared, pending: &mut Vec<Pending>, replies: &mut Vec<u8>) {
+    let mut direct = |resp| {
+        encode_response(
+            replies,
+            &ResponseFrame {
+                req_id: frame.req_id,
+                resp,
+            },
+        )
     };
+    let (la, op) = match frame.req {
+        WireRequest::Ping => return direct(WireResponse::Pong),
+        WireRequest::Stats => return direct(WireResponse::StatsOk(shared.stats.snapshot())),
+        WireRequest::Read { la } => (la, Op::Read),
+        WireRequest::Write { la, data } => (la, Op::Write(data)),
+    };
+    if shared.draining() {
+        return direct(WireResponse::Err {
+            code: ErrCode::ShuttingDown,
+            aux: 0,
+        });
+    }
+    if la >= shared.logical_lines {
+        shared.stats.shed_fault.fetch_add(1, Ordering::Relaxed);
+        return direct(WireResponse::Err {
+            code: ErrCode::AddressOutOfRange,
+            aux: la,
+        });
+    }
+    pending.push(Pending {
+        req_id: frame.req_id,
+        la,
+        op,
+    });
+}
 
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut stream = stream;
+/// Finish a connection's round: run its device requests through the
+/// engine `batch_max` at a time, one lock per chunk, appending their
+/// replies behind the direct replies already in `replies`; then send the
+/// whole buffer with one write, after the lock is released. Both buffers
+/// come back empty.
+fn finish_round(
+    out: &mut impl Write,
+    shared: &Shared,
+    pending: &mut Vec<Pending>,
+    replies: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    for chunk in pending.chunks(shared.batch_max) {
+        shared.engine()?.run_chunk(chunk, shared, replies);
+    }
+    pending.clear();
+    let sent = out.write_all(replies);
+    replies.clear();
+    sent
+}
+
+/// How often a quiet connection wakes to check the drain flag and its
+/// idle and mid-frame deadlines.
+const READ_POLL: Duration = Duration::from_millis(50);
+
+/// How long one reply write may wait on a peer that stopped reading
+/// before its connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+fn conn_loop(mut stream: Stream, shared: &Shared) {
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut reader = FrameReader::new();
+    let mut pending = Vec::new();
+    let mut replies = Vec::with_capacity(4096);
     let mut last_activity = Instant::now();
     let mut frame_start: Option<Instant> = None;
 
-    'conn: loop {
-        // Decode everything buffered before reading more.
+    loop {
+        // Decode everything buffered, then run the round and answer it.
+        let mut bad_frame = false;
         loop {
             match reader.next_request() {
                 Ok(Some(frame)) => {
                     last_activity = Instant::now();
-                    if !dispatch(frame, &shared, &engine_tx, &wtx, &inflight) {
-                        break 'conn;
-                    }
+                    triage(frame, shared, &mut pending, &mut replies);
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -629,19 +688,23 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
                         .stats
                         .malformed_frames
                         .fetch_add(1, Ordering::Relaxed);
-                    let _ = wtx.send(WriterMsg {
-                        frame: ResponseFrame {
+                    encode_response(
+                        &mut replies,
+                        &ResponseFrame {
                             req_id: 0,
                             resp: WireResponse::Err {
                                 code: ErrCode::BadFrame,
                                 aux: malformed_aux(e),
                             },
                         },
-                        engine_reply: false,
-                    });
-                    break 'conn;
+                    );
+                    bad_frame = true;
+                    break;
                 }
             }
+        }
+        if finish_round(&mut stream, shared, &mut pending, &mut replies).is_err() || bad_frame {
+            break;
         }
         frame_start = if reader.mid_frame() {
             Some(frame_start.unwrap_or_else(Instant::now))
@@ -650,15 +713,14 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
         };
 
         match reader.fill_from(&mut stream) {
-            Ok(0) => break 'conn,
+            Ok(0) => break,
             Ok(_) => last_activity = Instant::now(),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shared.draining.load(Ordering::Acquire) && inflight.load(Ordering::Acquire) == 0
-                {
-                    break 'conn;
+                if shared.draining() {
+                    break;
                 }
                 if let Some(fs) = frame_start {
                     if fs.elapsed() > shared.frame_timeout {
@@ -667,26 +729,27 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
                             .stats
                             .malformed_frames
                             .fetch_add(1, Ordering::Relaxed);
-                        break 'conn;
+                        break;
                     }
                 }
                 if last_activity.elapsed() > shared.idle_timeout {
-                    break 'conn;
+                    break;
                 }
             }
-            Err(_) => break 'conn,
+            Err(_) => break,
         }
     }
-
-    // Let in-flight responses flush before closing (bounded wait).
-    let flush_deadline = Instant::now() + Duration::from_secs(10);
-    while inflight.load(Ordering::Acquire) > 0 && Instant::now() < flush_deadline {
-        thread::sleep(Duration::from_millis(1));
-    }
-    drop(wtx);
-    let _ = writer.join();
     stream.shutdown();
-    shared.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// Counts one connection open for as long as its thread runs, unwinding
+/// included, so the drain's wait for `open_conns == 0` always ends.
+struct OpenConn(Arc<Shared>);
+
+impl Drop for OpenConn {
+    fn drop(&mut self) {
+        self.0.stats.open_conns.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 fn malformed_aux(e: crate::proto::FrameError) -> u64 {
@@ -701,81 +764,16 @@ fn malformed_aux(e: crate::proto::FrameError) -> u64 {
     }
 }
 
-/// Handle one decoded request on the reader thread; returns `false` when
-/// the connection must close.
-fn dispatch(
-    frame: RequestFrame,
-    shared: &Shared,
-    engine_tx: &SyncSender<EngineMsg>,
-    wtx: &mpsc::Sender<WriterMsg>,
-    inflight: &Arc<AtomicU64>,
-) -> bool {
-    let direct = |resp: WireResponse| {
-        wtx.send(WriterMsg {
-            frame: ResponseFrame {
-                req_id: frame.req_id,
-                resp,
-            },
-            engine_reply: false,
-        })
-        .is_ok()
-    };
-    let (la, op) = match frame.req {
-        WireRequest::Ping => return direct(WireResponse::Pong),
-        WireRequest::Stats => return direct(WireResponse::StatsOk(shared.stats.snapshot())),
-        WireRequest::Read { la } => (la, Op::Read),
-        WireRequest::Write { la, data } => (la, Op::Write(data)),
-    };
-    if shared.draining.load(Ordering::Acquire) {
-        return direct(WireResponse::Err {
-            code: ErrCode::ShuttingDown,
-            aux: 0,
-        });
-    }
-    if la >= shared.logical_lines {
-        shared.stats.shed_fault.fetch_add(1, Ordering::Relaxed);
-        return direct(WireResponse::Err {
-            code: ErrCode::AddressOutOfRange,
-            aux: la,
-        });
-    }
-    inflight.fetch_add(1, Ordering::AcqRel);
-    match engine_tx.try_send(EngineMsg {
-        resp: wtx.clone(),
-        req_id: frame.req_id,
-        la,
-        op,
-    }) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) => {
-            inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.stats.shed_overload.fetch_add(1, Ordering::Relaxed);
-            direct(WireResponse::Err {
-                code: ErrCode::Overloaded,
-                aux: 0,
-            })
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            inflight.fetch_sub(1, Ordering::AcqRel);
-            let _ = direct(WireResponse::Err {
-                code: ErrCode::ShuttingDown,
-                aux: 0,
-            });
-            false
-        }
-    }
-}
-
 /// Run the server to completion. Returns once a graceful drain finishes;
 /// the process exit code is the returned value (0 on a clean drain).
 pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     os::install_shutdown_handlers();
     let (fe, shelf, boot_report) = boot(&cfg)?;
-    let logical_lines = fe.system().logical_lines();
     let (listener, bound) = cfg.endpoint.listen()?;
     listener.set_nonblocking(true)?;
     std::fs::write(shelf.sidecar("endpoint"), bound.to_string())?;
     std::fs::write(shelf.sidecar("pid"), os::own_pid().to_string())?;
+    let shared = Arc::new(Shared::new(&cfg, fe, shelf, &boot_report));
     println!(
         "srbsg-server listening on {bound} pid={} generation={} recovered={} replayed_steps={} rekey_movements={} lines={}",
         os::own_pid(),
@@ -783,48 +781,22 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
         boot_report.recovered,
         boot_report.replayed_steps,
         boot_report.rekey_movements,
-        logical_lines,
+        shared.logical_lines,
     );
     let _ = std::io::stdout().flush();
-
-    let shared = Arc::new(Shared {
-        stats: SharedStats::new(boot_report.generation),
-        draining: AtomicBool::new(false),
-        logical_lines,
-        idle_timeout: cfg.idle_timeout,
-        frame_timeout: cfg.frame_timeout,
-    });
-    let (etx, erx) = mpsc::sync_channel::<EngineMsg>(cfg.inflight_max);
-    let engine = {
-        let st = EngineState {
-            fe,
-            shelf,
-            stamp: CommitStamp {
-                save_seq: boot_report.save_seq,
-                generation: boot_report.generation,
-                seed: cfg.seed,
-                acked_writes: boot_report.acked_writes,
-            },
-            read_only: false,
-        };
-        let shared = shared.clone();
-        let cfg = cfg.clone();
-        thread::spawn(move || engine_loop(st, erx, shared, cfg))
-    };
 
     while !os::shutdown_requested() {
         match listener.accept() {
             Ok(stream) => {
                 shared.stats.accepted_conns.fetch_add(1, Ordering::Relaxed);
-                if shared.stats.open_conns.load(Ordering::Relaxed) >= cfg.max_conns as u64 {
+                if shared.stats.open_conns.load(Ordering::Acquire) >= cfg.max_conns as u64 {
                     shared.stats.shed_overload.fetch_add(1, Ordering::Relaxed);
                     refuse_overloaded(stream);
                     continue;
                 }
-                shared.stats.open_conns.fetch_add(1, Ordering::Relaxed);
-                let shared = shared.clone();
-                let etx = etx.clone();
-                thread::spawn(move || conn_loop(stream, shared, etx));
+                shared.stats.open_conns.fetch_add(1, Ordering::AcqRel);
+                let conn = OpenConn(shared.clone());
+                thread::spawn(move || conn_loop(stream, &conn.0));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -833,16 +805,15 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
         }
     }
 
-    // Graceful drain: stop accepting, flip the drain flag, release our
-    // engine sender, and wait for the engine's finale.
-    shared.draining.store(true, Ordering::Release);
-    shared.stats.draining.store(true, Ordering::Relaxed);
+    // Graceful drain: stop accepting and flip the drain flag; every
+    // connection closes at its next read timeout, and the engine's
+    // finale then runs on this thread.
+    shared.stats.draining.store(true, Ordering::Release);
     drop(listener);
-    drop(etx);
-    let res = engine
-        .join()
-        .map_err(|_| std::io::Error::other("engine thread panicked"))?;
-    res?;
+    while shared.stats.open_conns.load(Ordering::Acquire) > 0 {
+        thread::sleep(Duration::from_millis(5));
+    }
+    shared.engine()?.finish()?;
     let s = shared.stats.snapshot();
     println!(
         "srbsg-server drained: served_reads={} served_writes={} shed_overload={} malformed_frames={}",
@@ -951,93 +922,101 @@ mod tests {
         }
     }
 
-    fn reply(req_id: u64) -> WriterMsg {
-        WriterMsg {
-            frame: ResponseFrame {
-                req_id,
-                resp: WireResponse::ReadOk {
-                    data: LineData::Mixed(req_id as u32),
-                    latency_ns: 100,
-                },
-            },
-            engine_reply: true,
-        }
-    }
-
-    fn encoded(ids: std::ops::Range<u64>) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for id in ids {
-            encode_response(&mut buf, &reply(id).frame);
-        }
-        buf
-    }
-
-    #[test]
-    fn the_writer_sends_a_queued_round_in_one_write() {
-        let (tx, rx) = mpsc::channel();
-        for id in 0..8 {
-            tx.send(reply(id)).unwrap();
-        }
-        drop(tx);
-        let inflight = AtomicU64::new(8);
-        let mut out = Recorder::default();
-        writer_loop(&mut out, rx, &inflight);
-        assert_eq!(out.writes.len(), 1, "8 queued replies, one write");
-        assert_eq!(out.writes[0], encoded(0..8), "all 8 frames, in order");
-        assert_eq!(inflight.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn one_write_stops_at_the_byte_cap() {
-        let frame_len = encoded(0..1).len();
-        let n = (3 * WRITE_BATCH_BYTES / frame_len) as u64;
-        let (tx, rx) = mpsc::channel();
-        for id in 0..n {
-            tx.send(reply(id)).unwrap();
-        }
-        drop(tx);
-        let inflight = AtomicU64::new(n);
-        let mut out = Recorder::default();
-        writer_loop(&mut out, rx, &inflight);
-        assert!(out.writes.len() >= 3, "{} writes", out.writes.len());
-        for w in &out.writes {
-            assert!(w.len() < WRITE_BATCH_BYTES + frame_len, "{} bytes", w.len());
-        }
-        assert_eq!(out.writes.concat(), encoded(0..n));
-        assert_eq!(inflight.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn failed_writes_still_settle_inflight() {
-        let (tx, rx) = mpsc::channel();
-        for id in 0..8 {
-            tx.send(reply(id)).unwrap();
-        }
-        // A direct reply never entered the in-flight count.
-        tx.send(WriterMsg {
-            frame: ResponseFrame {
-                req_id: 99,
-                resp: WireResponse::Pong,
-            },
-            engine_reply: false,
-        })
-        .unwrap();
-        let inflight = Arc::new(AtomicU64::new(16));
-        let writer = {
-            let inflight = inflight.clone();
-            let out = Recorder {
-                fail: true,
-                ..Recorder::default()
-            };
-            thread::spawn(move || writer_loop(out, rx, &inflight))
+    /// A booted engine on a fresh directory, shared as a server shares it.
+    fn booted(dir: &str, batch_max: usize) -> (Shared, PathBuf) {
+        let cfg = ServerConfig {
+            batch_max,
+            ..test_cfg(&format!("{dir}_{}", std::process::id()))
         };
-        // Replies that arrive after the first failed write settle too.
-        for id in 8..16 {
-            tx.send(reply(id)).unwrap();
+        let _ = std::fs::remove_dir_all(&cfg.data_dir);
+        let (fe, shelf, rep) = boot(&cfg).unwrap();
+        (Shared::new(&cfg, fe, shelf, &rep), cfg.data_dir)
+    }
+
+    /// `n` writes to lines `0..n`, tagged `id + 1`, with request ids `0..n`.
+    fn writes(n: u64) -> Vec<Pending> {
+        (0..n)
+            .map(|id| Pending {
+                req_id: id,
+                la: id,
+                op: Op::Write(LineData::Mixed(id as u32 + 1)),
+            })
+            .collect()
+    }
+
+    fn save_seq(shared: &Shared) -> u64 {
+        shared.engine().unwrap().stamp.save_seq
+    }
+
+    /// Decode every frame of one write, checking each is a `WriteOk`;
+    /// returns the request ids in wire order.
+    fn acked_ids(bytes: &[u8]) -> Vec<u64> {
+        let mut r = FrameReader::new();
+        r.extend(bytes);
+        let mut ids = Vec::new();
+        while let Some(f) = r.next_response().unwrap() {
+            assert!(matches!(f.resp, WireResponse::WriteOk { .. }), "{f:?}");
+            ids.push(f.req_id);
         }
-        drop(tx);
-        writer.join().unwrap();
-        assert_eq!(inflight.load(Ordering::Acquire), 0);
+        assert!(!r.mid_frame(), "a write holds whole frames only");
+        ids
+    }
+
+    #[test]
+    fn a_buffered_round_of_8_is_one_write_in_order() {
+        let (shared, dir) = booted("srbsg_round8", 64);
+        let before = save_seq(&shared);
+        let mut out = Recorder::default();
+        let (mut pending, mut replies) = (writes(8), Vec::new());
+        finish_round(&mut out, &shared, &mut pending, &mut replies).unwrap();
+        assert_eq!(out.writes.len(), 1, "8 replies, one write");
+        assert_eq!(acked_ids(&out.writes[0]), (0..8).collect::<Vec<_>>());
+        assert_eq!(save_seq(&shared), before + 1, "one chunk, one commit");
+        assert!(pending.is_empty() && replies.is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_round_over_batch_max_commits_once_per_chunk() {
+        for (n, batch_max) in [(10u64, 4usize), (12, 4), (13, 1)] {
+            let (shared, dir) = booted("srbsg_chunks", batch_max);
+            let before = save_seq(&shared);
+            let mut out = Recorder::default();
+            let (mut pending, mut replies) = (writes(n), Vec::new());
+            finish_round(&mut out, &shared, &mut pending, &mut replies).unwrap();
+            let chunks = n.div_ceil(batch_max as u64);
+            assert_eq!(
+                save_seq(&shared) - before,
+                chunks,
+                "n={n} batch_max={batch_max}"
+            );
+            assert_eq!(out.writes.len(), 1, "still one write for the round");
+            assert_eq!(acked_ids(&out.writes[0]), (0..n).collect::<Vec<_>>());
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_failed_reply_write_fails_the_round_after_its_commit() {
+        let (shared, dir) = booted("srbsg_deadpeer", 64);
+        let before = save_seq(&shared);
+        let mut out = Recorder {
+            fail: true,
+            ..Recorder::default()
+        };
+        let (mut pending, mut replies) = (writes(8), Vec::new());
+        let err = finish_round(&mut out, &shared, &mut pending, &mut replies).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        // The writes are durable although their acks never left, and
+        // both buffers come back empty.
+        assert_eq!(save_seq(&shared), before + 1);
+        assert!(pending.is_empty() && replies.is_empty());
+        // The engine is not held: the next round on it runs.
+        let mut ok = Recorder::default();
+        let mut pending = writes(2);
+        finish_round(&mut ok, &shared, &mut pending, &mut replies).unwrap();
+        assert_eq!(acked_ids(&ok.writes[0]), vec![0, 1]);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

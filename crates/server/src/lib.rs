@@ -11,10 +11,10 @@
 //!   frames where every malformed input — oversized length, truncated
 //!   frame, bad opcode, bit-flipped payload — becomes a typed
 //!   [`proto::FrameError`] and a clean connection close, never a panic;
-//! * a **serving runtime** ([`engine`]): per-connection reader/writer
-//!   threads multiplexed onto the `srbsg-serve` front-end, with
-//!   read/write deadlines, idle and slow-loris timeouts, bounded
-//!   connection and in-flight limits with typed overload shedding, and a
+//! * a **serving runtime** ([`engine`]): one thread per connection that
+//!   runs each request round to completion on the shared `srbsg-serve`
+//!   front-end, with read/write deadlines, idle and slow-loris timeouts,
+//!   a connection cap with typed overload refusal, and a
 //!   durable-before-ack shelf commit on every write batch;
 //! * **crash survival** ([`shelf`]): the device image — persistence
 //!   stores, PCM contents, wear, clock — as a checkpoint committed by
@@ -23,7 +23,7 @@
 //!   re-keys the Security RBSG mapping exactly as the paper prescribes
 //!   after a power cycle;
 //! * a **graceful drain** ([`engine::run`]): `SIGTERM` stops the accept
-//!   loop, drains in-flight work, checkpoints, and exits 0;
+//!   loop, lets every decoded round finish, checkpoints, and exits 0;
 //! * an **auditing load generator** ([`loadgen`]): open-loop seeded
 //!   traffic that retries writes until acknowledged and records exactly
 //!   which tags were acked vs left unresolved, so the chaos harness can

@@ -123,7 +123,7 @@ pub enum ErrCode {
     DeviceFault = 5,
     /// The logical address is outside the device.
     AddressOutOfRange = 6,
-    /// The server's in-flight or connection limit was reached; try later.
+    /// The server's connection limit was reached; try later.
     Overloaded = 7,
     /// The server is draining for shutdown and accepts no new work.
     ShuttingDown = 8,
@@ -226,8 +226,8 @@ pub struct StatsWire {
     pub shed_retries: u64,
     /// Requests failed with a device fault or out-of-range address.
     pub shed_fault: u64,
-    /// Requests shed with [`ErrCode::Overloaded`] (in-flight cap) plus
-    /// connections refused at the connection cap.
+    /// Connections refused with [`ErrCode::Overloaded`] at the
+    /// connection cap.
     pub shed_overload: u64,
     /// Writes shed with [`ErrCode::ReadOnly`] (storage-space
     /// degradation).
@@ -393,8 +393,13 @@ pub fn encode_request(buf: &mut Vec<u8>, frame: &RequestFrame) {
 }
 
 /// Append one encoded response frame (length prefix included) to `buf`.
+/// The body is encoded straight into `buf` behind a placeholder length
+/// that is patched once the body is sealed, so a reused `buf` makes the
+/// reply path allocation-free.
 pub fn encode_response(buf: &mut Vec<u8>, frame: &ResponseFrame) {
-    let mut enc = Enc::new();
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    let mut enc = Enc::from_vec(std::mem::take(buf));
     enc.u8(PROTO_VERSION);
     match frame.resp {
         WireResponse::ReadOk { data, latency_ns } => {
@@ -428,7 +433,12 @@ pub fn encode_response(buf: &mut Vec<u8>, frame: &ResponseFrame) {
             enc.u64(aux);
         }
     }
-    seal(buf, enc);
+    *buf = enc.into_bytes();
+    let crc = crc64(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    let len = (buf.len() - start - 4) as u32;
+    debug_assert!((MIN_BODY..=MAX_BODY).contains(&len));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode one complete request body (the bytes after the length prefix).
@@ -668,6 +678,93 @@ mod tests {
             r.extend(&buf);
             assert_eq!(r.next_response().unwrap(), Some(frame));
         }
+    }
+
+    /// Frames as the original encoder (a fresh `Enc` per frame, then
+    /// copied into the caller's buffer) produced them, one per
+    /// `WireResponse` variant and one per `LineData` kind.
+    #[test]
+    fn every_response_variant_encodes_to_its_golden_bytes() {
+        let stats = StatsWire {
+            generation: 1,
+            accepted_conns: 2,
+            open_conns: 3,
+            served_reads: 4,
+            served_writes: 5,
+            retries: 6,
+            shed_queue_full: 7,
+            shed_deadline: 8,
+            shed_quarantine: 9,
+            shed_retries: 10,
+            shed_fault: 11,
+            shed_overload: 12,
+            shed_read_only: 13,
+            malformed_frames: 14,
+            draining: 15,
+        };
+        let read_ok = |data, latency_ns| WireResponse::ReadOk { data, latency_ns };
+        let golden: [(u64, WireResponse, &str); 7] = [
+            (
+                0x0102_0304_0506_0708,
+                read_ok(LineData::Zeros, 125),
+                "1f0000000181080706050403020100000000007d0000000000000094dfa63a02721a6f",
+            ),
+            (
+                2,
+                read_ok(LineData::Ones, u64::MAX),
+                "1f000000018102000000000000000100000000ffffffffffffffff751c09315662f9f4",
+            ),
+            (
+                3,
+                read_ok(LineData::Mixed(0xDEAD_BEEF), 0),
+                "1f0000000181030000000000000002efbeadde00000000000000007aeaaa91760eb88c",
+            ),
+            (
+                4,
+                WireResponse::WriteOk {
+                    retries: 3,
+                    latency_ns: 1000,
+                },
+                "1e0000000182040000000000000003000000e803000000000000eabbeac619d10052",
+            ),
+            (
+                5,
+                WireResponse::Pong,
+                "1200000001830500000000000000c8a601b36f41fdfa",
+            ),
+            (
+                6,
+                WireResponse::StatsOk(stats),
+                "8a000000018406000000000000000100000000000000020000000000000003000000\
+                 000000000400000000000000050000000000000006000000000000000700000000000000\
+                 080000000000000009000000000000000a000000000000000b000000000000000c000000\
+                 000000000d000000000000000e000000000000000f000000000000004536a66fc127b402",
+            ),
+            (
+                7,
+                WireResponse::Err {
+                    code: ErrCode::ReadOnly,
+                    aux: 0xABCD,
+                },
+                "1b00000001ee07000000000000000acdab00000000000019c2224704043129",
+            ),
+        ];
+        // Appending to a non-empty buffer must leave its prefix alone.
+        let mut all = vec![0xAA];
+        let mut want_all = vec![0xAA];
+        for (req_id, resp, hex) in golden {
+            let want: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            let frame = ResponseFrame { req_id, resp };
+            let mut buf = Vec::new();
+            encode_response(&mut buf, &frame);
+            assert_eq!(buf, want, "{frame:?}");
+            encode_response(&mut all, &frame);
+            want_all.extend_from_slice(&want);
+        }
+        assert_eq!(all, want_all);
     }
 
     #[test]

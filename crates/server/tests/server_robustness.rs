@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
@@ -89,11 +90,26 @@ impl TestServer {
         os::send_signal(self.child.id(), os::SIGTERM).expect("SIGTERM");
         let status = self.child.wait().expect("wait");
         assert_eq!(status.code(), Some(0), "drain must exit 0");
-        self.dir
+        std::mem::take(&mut self.dir)
     }
 
     fn stop(self) {
         let _ = std::fs::remove_dir_all(self.terminate());
+    }
+
+    /// `SIGKILL` and reap. The data directory stays for a restart.
+    fn kill(mut self) -> PathBuf {
+        self.child.kill().expect("SIGKILL");
+        self.child.wait().expect("wait");
+        std::mem::take(&mut self.dir)
+    }
+}
+
+/// A test that fails mid-way must not leave its server running.
+impl Drop for TestServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -372,5 +388,131 @@ fn a_pipelined_window_gets_every_reply_and_survives_a_drain() {
     for (la, data) in &ledger {
         assert_eq!(c.read(*la).unwrap().unwrap(), *data, "line {la}");
     }
+    server.stop();
+}
+
+/// Connections that pipeline at once in the concurrent tests.
+const CONNS: u64 = 4;
+
+/// Lines each concurrent connection owns (the test device has 64).
+const LINES_PER_CONN: u64 = 16;
+
+/// Window `w` of connection `conn`: 8 writes to distinct lines of the
+/// connection's own range, tagged so every (conn, window, line) differs.
+fn conn_window(conn: u64, w: u64) -> Vec<RequestFrame> {
+    (0..8)
+        .map(|i| {
+            let la = conn * LINES_PER_CONN + (w * 8 + i) % LINES_PER_CONN;
+            RequestFrame {
+                req_id: w * 8 + i + 1,
+                req: WireRequest::Write {
+                    la,
+                    data: LineData::Mixed(((conn << 16) | (w << 8) | i) as u32 + 1),
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_pipelined_connections_get_every_reply_and_survive_a_kill() {
+    const WINDOWS: u64 = 40;
+    let server = TestServer::start("conns");
+    let endpoint = &server.endpoint;
+    let ledgers: Vec<BTreeMap<u64, LineData>> = thread::scope(|s| {
+        let conns: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                s.spawn(move || {
+                    let mut c = Client::connect(endpoint, Duration::from_secs(5)).expect("connect");
+                    let mut ledger = BTreeMap::new();
+                    for w in 0..WINDOWS {
+                        let frames = conn_window(conn, w);
+                        send_window(&mut c, &frames);
+                        let acked = collect_window(&mut c, &frames, false);
+                        assert_eq!(acked.len(), 8, "conn {conn} window {w}: every write acked");
+                        ledger.extend(acked);
+                    }
+                    ledger
+                })
+            })
+            .collect();
+        conns.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let dir = server.kill();
+    let server = TestServer::spawn(dir);
+    let mut c = server.client();
+    for (la, data) in ledgers.iter().flatten() {
+        assert_eq!(c.read(*la).unwrap().unwrap(), *data, "line {la}");
+    }
+    assert_eq!(
+        ledgers.iter().map(BTreeMap::len).sum::<usize>(),
+        (CONNS * LINES_PER_CONN) as usize
+    );
+    server.stop();
+}
+
+#[test]
+fn a_peer_that_stops_reading_does_not_stall_another_connection() {
+    const BURST: u64 = 40_000;
+    let server = TestServer::start("stalled");
+
+    // Connection A pipelines far more reads than the socket buffers can
+    // hold replies for, and never reads a reply.
+    let stalled = server.endpoint.connect(Duration::from_secs(5)).unwrap();
+    let mut burst = Vec::new();
+    for id in 0..BURST {
+        encode_request(
+            &mut burst,
+            &RequestFrame {
+                req_id: id,
+                req: WireRequest::Read { la: id % 64 },
+            },
+        );
+    }
+    let mut sender = stalled.try_clone().unwrap();
+    let sending = thread::spawn(move || {
+        // Fails once the stream is shut down below; that is expected.
+        let _ = sender.write_all(&burst);
+    });
+
+    // Wait until A's replies stop flowing: its connection thread is then
+    // blocked writing to a peer that does not read.
+    let mut probe = server.client();
+    let mut last = u64::MAX;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        thread::sleep(Duration::from_millis(300));
+        let served = probe.stats().unwrap().served_reads;
+        if served == last {
+            break;
+        }
+        last = served;
+        assert!(Instant::now() < deadline, "A's reads never settled");
+    }
+    assert!(
+        last > 0 && last < BURST,
+        "A must be stalled mid-burst, not finished ({last} reads served)"
+    );
+
+    // Connection B's round runs to completion meanwhile.
+    let mut b = server.client();
+    let frames = conn_window(1, 0);
+    let start = Instant::now();
+    send_window(&mut b, &frames);
+    assert_eq!(collect_window(&mut b, &frames, false).len(), 8);
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "B's round took {:?} behind a stalled peer",
+        start.elapsed()
+    );
+    // ...while A is still stalled, not after its write timed out and
+    // closed it: A, the probe and B are all open.
+    let stats = probe.stats().unwrap();
+    assert_eq!((stats.open_conns, stats.served_reads), (3, last));
+
+    stalled.shutdown();
+    sending.join().unwrap();
+    server.assert_alive();
     server.stop();
 }
