@@ -34,7 +34,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
-use srbsg_serve::{percentile_ns, FrontEnd, Op, Rejected, Request, ServeConfig};
+use srbsg_serve::{percentile_ns, FrontEnd, Op, Rejected, Request, ServeConfig, ServeStats};
 use srbsg_workloads::{shard_seed, TraceGenerator, WorkloadSpec};
 
 const BANKS: usize = 8;
@@ -49,32 +49,15 @@ const RESUBMIT_CAP: u32 = 3;
 /// Per-bank outcome accumulators, folded from completions in id order.
 #[derive(Debug, Clone, Default)]
 struct BankAcc {
-    submitted: u64,
-    served_reads: u64,
-    served_writes: u64,
-    retries: u64,
-    rej_queue_full: u64,
-    rej_deadline: u64,
-    rej_quarantine: u64,
-    rej_retries: u64,
-    rej_fault: u64,
+    /// Final outcomes: a deferred `QueueFull` is not one.
+    stats: ServeStats,
     /// Closed loop only: `QueueFull` rejections converted into a
     /// resubmission in a later batch.
     deferred: u64,
     /// Closed loop only: requests abandoned after [`RESUBMIT_CAP`]
-    /// deferrals (every drop is also counted in `rej_queue_full`).
+    /// deferrals (every drop is also counted in `stats.rejected_queue_full`).
     dropped: u64,
     latencies: Vec<Ns>,
-}
-
-impl BankAcc {
-    fn rejected(&self) -> u64 {
-        self.rej_queue_full
-            + self.rej_deadline
-            + self.rej_quarantine
-            + self.rej_retries
-            + self.rej_fault
-    }
 }
 
 fn build_system(opts: &Opts) -> MultiBankSystem<SecurityRbsg> {
@@ -284,42 +267,19 @@ fn replay(
         for ((req, tries), c) in submit.iter().zip(&done) {
             let bank = (req.la % BANKS as u64) as usize;
             let a = &mut acc[bank];
-            if *tries == 0 {
-                a.submitted += 1;
+            let queue_full = matches!(c.result, Err(Rejected::QueueFull { .. }));
+            if queue_full && closed_loop && *tries < RESUBMIT_CAP {
+                // Rejected at admission: the device was never touched.
+                a.deferred += 1;
+                carry.push((*req, tries + 1));
+                continue;
             }
-            match &c.result {
-                Ok(s) => {
-                    if s.data.is_some() {
-                        a.served_reads += 1;
-                    } else {
-                        a.served_writes += 1;
-                    }
-                    a.retries += s.retries as u64;
-                    a.latencies.push(s.latency_ns);
-                }
-                Err(Rejected::QueueFull { .. }) => {
-                    if closed_loop && *tries < RESUBMIT_CAP {
-                        a.deferred += 1;
-                        carry.push((*req, tries + 1));
-                    } else {
-                        a.rej_queue_full += 1;
-                        if closed_loop {
-                            a.dropped += 1;
-                        }
-                    }
-                }
-                Err(Rejected::DeadlineExceeded { attempts, .. }) => {
-                    a.rej_deadline += 1;
-                    a.retries += attempts.saturating_sub(1) as u64;
-                }
-                Err(Rejected::BankQuarantined { .. }) => a.rej_quarantine += 1,
-                Err(Rejected::RetriesExhausted { attempts, .. }) => {
-                    a.rej_retries += 1;
-                    a.retries += attempts.saturating_sub(1) as u64;
-                }
-                Err(Rejected::Fault(_)) => a.rej_fault += 1,
-                // This harness never degrades the front-end to read-only.
-                Err(Rejected::ReadOnly) => unreachable!("read-only mode is never enabled here"),
+            a.stats.record(c);
+            if queue_full && closed_loop {
+                a.dropped += 1;
+            }
+            if let Ok(s) = &c.result {
+                a.latencies.push(s.latency_ns);
             }
             if let Op::Write(data) = req.op {
                 match &c.result {
@@ -352,6 +312,31 @@ fn replay(
         quarantined_at,
         nreqs,
     }
+}
+
+/// The table cells from `submitted` through `p999_ns` for one
+/// accumulator.
+fn outcome_cells(a: &BankAcc) -> Vec<String> {
+    let s = &a.stats;
+    let mut lat = a.latencies.clone();
+    lat.sort_unstable();
+    vec![
+        s.submitted.to_string(),
+        s.served_reads.to_string(),
+        s.served_writes.to_string(),
+        s.retries.to_string(),
+        s.rejected_queue_full.to_string(),
+        s.rejected_deadline.to_string(),
+        s.rejected_quarantine.to_string(),
+        s.rejected_retries.to_string(),
+        s.rejected_fault.to_string(),
+        a.deferred.to_string(),
+        a.dropped.to_string(),
+        format!("{:.4}", s.rejection_rate()),
+        percentile_ns(&lat, 50.0).to_string(),
+        percentile_ns(&lat, 99.0).to_string(),
+        percentile_ns(&lat, 99.9).to_string(),
+    ]
 }
 
 pub fn run(opts: &Opts) {
@@ -407,69 +392,21 @@ pub fn run(opts: &Opts) {
     for (mode, r) in [("open", &open), ("closed", &closed), ("benign", &benign)] {
         let mut total = BankAcc::default();
         for (b, a) in r.acc.iter().enumerate() {
-            let mut lat = a.latencies.clone();
-            lat.sort_unstable();
-            t.row(vec![
-                mode.to_string(),
-                b.to_string(),
-                role(b).to_string(),
-                a.submitted.to_string(),
-                a.served_reads.to_string(),
-                a.served_writes.to_string(),
-                a.retries.to_string(),
-                a.rej_queue_full.to_string(),
-                a.rej_deadline.to_string(),
-                a.rej_quarantine.to_string(),
-                a.rej_retries.to_string(),
-                a.rej_fault.to_string(),
-                a.deferred.to_string(),
-                a.dropped.to_string(),
-                format!("{:.4}", a.rejected() as f64 / a.submitted.max(1) as f64),
-                percentile_ns(&lat, 50.0).to_string(),
-                percentile_ns(&lat, 99.0).to_string(),
-                percentile_ns(&lat, 99.9).to_string(),
-                r.quarantined_at[b].map_or_else(|| "-".to_string(), |ns| ns.to_string()),
-                "-".to_string(),
-            ]);
-            total.submitted += a.submitted;
-            total.served_reads += a.served_reads;
-            total.served_writes += a.served_writes;
-            total.retries += a.retries;
-            total.rej_queue_full += a.rej_queue_full;
-            total.rej_deadline += a.rej_deadline;
-            total.rej_quarantine += a.rej_quarantine;
-            total.rej_retries += a.rej_retries;
-            total.rej_fault += a.rej_fault;
+            let mut row = vec![mode.to_string(), b.to_string(), role(b).to_string()];
+            row.extend(outcome_cells(a));
+            row.push(r.quarantined_at[b].map_or_else(|| "-".to_string(), |ns| ns.to_string()));
+            row.push("-".to_string());
+            t.row(row);
+            total.stats.merge(&a.stats);
             total.deferred += a.deferred;
             total.dropped += a.dropped;
             total.latencies.extend(&a.latencies);
         }
-        total.latencies.sort_unstable();
-        t.row(vec![
-            mode.to_string(),
-            "TOTAL".to_string(),
-            "-".to_string(),
-            total.submitted.to_string(),
-            total.served_reads.to_string(),
-            total.served_writes.to_string(),
-            total.retries.to_string(),
-            total.rej_queue_full.to_string(),
-            total.rej_deadline.to_string(),
-            total.rej_quarantine.to_string(),
-            total.rej_retries.to_string(),
-            total.rej_fault.to_string(),
-            total.deferred.to_string(),
-            total.dropped.to_string(),
-            format!(
-                "{:.4}",
-                total.rejected() as f64 / total.submitted.max(1) as f64
-            ),
-            percentile_ns(&total.latencies, 50.0).to_string(),
-            percentile_ns(&total.latencies, 99.0).to_string(),
-            percentile_ns(&total.latencies, 99.9).to_string(),
-            "-".to_string(),
-            r.lost_acked.to_string(),
-        ]);
+        let mut row = vec![mode.to_string(), "TOTAL".to_string(), "-".to_string()];
+        row.extend(outcome_cells(&total));
+        row.push("-".to_string());
+        row.push(r.lost_acked.to_string());
+        t.row(row);
         totals.push(total);
     }
     t.print();
@@ -487,7 +424,7 @@ pub fn run(opts: &Opts) {
         totals[1].dropped,
         benign.audited,
         benign.lost_acked,
-        totals[2].rejected()
+        totals[2].stats.rejected()
     );
 
     // The acceptance bars for this experiment: chaos must actually bite
@@ -501,10 +438,13 @@ pub fn run(opts: &Opts) {
         "acknowledged writes must survive chaos (closed loop)"
     );
     assert!(
-        totals[0].rejected() > 0,
+        totals[0].stats.rejected() > 0,
         "chaos schedule produced no rejections"
     );
-    assert!(totals[0].retries > 0, "chaos schedule produced no retries");
+    assert!(
+        totals[0].stats.retries > 0,
+        "chaos schedule produced no retries"
+    );
     assert!(
         open.quarantined_at[DYING_BANK].is_some(),
         "the dying bank never hit the quarantine threshold"
@@ -514,18 +454,18 @@ pub fn run(opts: &Opts) {
         "closed loop never deferred anything"
     );
     assert!(
-        totals[1].rej_queue_full < totals[0].rej_queue_full,
+        totals[1].stats.rejected_queue_full < totals[0].stats.rejected_queue_full,
         "closed loop did not reduce queue-full losses ({} vs {})",
-        totals[1].rej_queue_full,
-        totals[0].rej_queue_full
+        totals[1].stats.rejected_queue_full,
+        totals[0].stats.rejected_queue_full
     );
     assert_eq!(
         benign.lost_acked, 0,
         "acknowledged writes must survive the benign sharded workload"
     );
     assert!(
-        totals[2].rej_queue_full == 0,
+        totals[2].stats.rejected_queue_full == 0,
         "benign sharded traffic should never overflow a queue ({} rejections)",
-        totals[2].rej_queue_full
+        totals[2].stats.rejected_queue_full
     );
 }

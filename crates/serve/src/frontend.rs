@@ -264,35 +264,9 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
         }
         completions.sort_by_key(|c| c.id);
         for c in &completions {
-            self.account(c);
+            self.stats.record(c);
         }
         completions
-    }
-
-    fn account(&mut self, c: &Completion) {
-        self.stats.submitted += 1;
-        match &c.result {
-            Ok(s) => {
-                if s.data.is_some() {
-                    self.stats.served_reads += 1;
-                } else {
-                    self.stats.served_writes += 1;
-                }
-                self.stats.retries += s.retries as u64;
-            }
-            Err(Rejected::QueueFull { .. }) => self.stats.rejected_queue_full += 1,
-            Err(Rejected::DeadlineExceeded { attempts, .. }) => {
-                self.stats.rejected_deadline += 1;
-                self.stats.retries += attempts.saturating_sub(1) as u64;
-            }
-            Err(Rejected::BankQuarantined { .. }) => self.stats.rejected_quarantine += 1,
-            Err(Rejected::RetriesExhausted { attempts, .. }) => {
-                self.stats.rejected_retries += 1;
-                self.stats.retries += attempts.saturating_sub(1) as u64;
-            }
-            Err(Rejected::ReadOnly) => self.stats.rejected_read_only += 1,
-            Err(Rejected::Fault(_)) => self.stats.rejected_fault += 1,
-        }
     }
 }
 

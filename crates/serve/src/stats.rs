@@ -2,6 +2,8 @@
 
 use srbsg_pcm::Ns;
 
+use crate::{Completion, Rejected};
+
 /// Running counters of the front-end's decisions. Updated in request-id
 /// order after each batch, so they are identical for any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,6 +33,49 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Count one request's final outcome. This is the one place a
+    /// [`Completion`] is classified: the front-end, the server's stats
+    /// reply and the `serve` harness all read counters kept here.
+    pub fn record(&mut self, c: &Completion) {
+        self.submitted += 1;
+        match &c.result {
+            Ok(s) => {
+                if s.data.is_some() {
+                    self.served_reads += 1;
+                } else {
+                    self.served_writes += 1;
+                }
+                self.retries += s.retries as u64;
+            }
+            Err(Rejected::QueueFull { .. }) => self.rejected_queue_full += 1,
+            Err(Rejected::DeadlineExceeded { attempts, .. }) => {
+                self.rejected_deadline += 1;
+                self.retries += attempts.saturating_sub(1) as u64;
+            }
+            Err(Rejected::BankQuarantined { .. }) => self.rejected_quarantine += 1,
+            Err(Rejected::RetriesExhausted { attempts, .. }) => {
+                self.rejected_retries += 1;
+                self.retries += attempts.saturating_sub(1) as u64;
+            }
+            Err(Rejected::ReadOnly) => self.rejected_read_only += 1,
+            Err(Rejected::Fault(_)) => self.rejected_fault += 1,
+        }
+    }
+
+    /// Fold another tally into this one (e.g. per-bank into a total).
+    pub fn merge(&mut self, o: &ServeStats) {
+        self.submitted += o.submitted;
+        self.served_reads += o.served_reads;
+        self.served_writes += o.served_writes;
+        self.retries += o.retries;
+        self.rejected_queue_full += o.rejected_queue_full;
+        self.rejected_deadline += o.rejected_deadline;
+        self.rejected_quarantine += o.rejected_quarantine;
+        self.rejected_retries += o.rejected_retries;
+        self.rejected_fault += o.rejected_fault;
+        self.rejected_read_only += o.rejected_read_only;
+    }
+
     /// Requests served (acknowledged).
     pub fn served(&self) -> u64 {
         self.served_reads + self.served_writes

@@ -30,7 +30,6 @@ FLAGS:
     -h, --help             this text
 
 ENV:
-    SRBSG_SERVER_JOBS      submit_batch worker threads [1]
     SRBSG_SERVER_BATCH     max requests per commit     [64]
 
 The server prints one line on startup:

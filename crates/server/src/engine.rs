@@ -17,17 +17,26 @@
 //! ```
 //!
 //! The server runs 1 + open-connections threads. The device engine — the
-//! [`FrontEnd`], the disk shelf and the commit counters — sits behind one
+//! [`FrontEnd`], the disk shelf and the commit stamp — sits behind one
 //! `Mutex` in the state every connection shares. A connection thread
 //! decodes every frame its last read buffered. Pings, stats and requests
-//! it can refuse outright (`ShuttingDown`, `AddressOutOfRange`) are
-//! encoded straight into its reply buffer; device requests go through the
-//! engine `batch_max` at a time, each chunk under the lock. The thread
-//! then sends the whole reply buffer with one socket write, after the
-//! lock is released, so a peer that stops reading blocks only its own
+//! refused while draining (`ShuttingDown`) are encoded straight into its
+//! reply buffer; device requests, out-of-range ones included, go through
+//! the engine `batch_max` at a time, each chunk under the lock. The
+//! thread then sends the whole reply buffer with one socket write, after
+//! the lock is released, so a peer that stops reading blocks only its own
 //! thread. The connection's [`crate::proto::FrameReader`] and reply
 //! buffer are the only buffers on the steady-state path — request decode
 //! and response encode allocate nothing per request.
+//!
+//! # Counters
+//!
+//! Request outcomes are counted once, by the front-end's
+//! [`srbsg_serve::ServeStats`], under the engine lock. A stats reply takes
+//! the lock and reads that tally, the commit stamp (acknowledged writes,
+//! generation) and the writes whose ack a full shelf refused. Only the
+//! connection-level counters, which change outside the engine, are
+//! atomics.
 //!
 //! # Durability contract
 //!
@@ -99,8 +108,6 @@ pub struct ServerConfig {
     pub serve: ServeConfig,
     /// Optional per-request simulated deadline budget.
     pub deadline_ns: Option<u64>,
-    /// Worker threads for `submit_batch`.
-    pub jobs: usize,
     /// Largest request chunk a connection submits under one engine
     /// lock (and one commit).
     pub batch_max: usize,
@@ -131,7 +138,6 @@ impl Default for ServerConfig {
                 ..ServeConfig::default()
             },
             deadline_ns: None,
-            jobs: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_JOBS", 1, 1),
             batch_max: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_BATCH", 1, 64),
             max_conns: 64,
             idle_timeout: Duration::from_secs(30),
@@ -161,77 +167,25 @@ pub struct BootReport {
     pub healed_shelf_slot: bool,
 }
 
+/// The connection-level counters: the ones that change outside the
+/// engine lock.
+#[derive(Default)]
 struct SharedStats {
-    generation: AtomicU64,
     accepted_conns: AtomicU64,
     open_conns: AtomicU64,
-    served_reads: AtomicU64,
-    served_writes: AtomicU64,
-    retries: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    shed_quarantine: AtomicU64,
-    shed_retries: AtomicU64,
-    shed_fault: AtomicU64,
     shed_overload: AtomicU64,
-    shed_read_only: AtomicU64,
     malformed_frames: AtomicU64,
     draining: AtomicBool,
 }
 
-impl SharedStats {
-    fn new(generation: u64) -> Self {
-        Self {
-            generation: AtomicU64::new(generation),
-            accepted_conns: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            served_reads: AtomicU64::new(0),
-            served_writes: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_quarantine: AtomicU64::new(0),
-            shed_retries: AtomicU64::new(0),
-            shed_fault: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_read_only: AtomicU64::new(0),
-            malformed_frames: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-        }
-    }
-
-    fn snapshot(&self) -> StatsWire {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        StatsWire {
-            generation: g(&self.generation),
-            accepted_conns: g(&self.accepted_conns),
-            open_conns: g(&self.open_conns),
-            served_reads: g(&self.served_reads),
-            served_writes: g(&self.served_writes),
-            retries: g(&self.retries),
-            shed_queue_full: g(&self.shed_queue_full),
-            shed_deadline: g(&self.shed_deadline),
-            shed_quarantine: g(&self.shed_quarantine),
-            shed_retries: g(&self.shed_retries),
-            shed_fault: g(&self.shed_fault),
-            shed_overload: g(&self.shed_overload),
-            shed_read_only: g(&self.shed_read_only),
-            malformed_frames: g(&self.malformed_frames),
-            draining: self.draining.load(Ordering::Relaxed) as u64,
-        }
-    }
-}
-
-/// The state every connection thread shares: counters (the drain flag
-/// among them), the request policy, and the device engine behind its
-/// lock.
+/// The state every connection thread shares: connection counters (the
+/// drain flag among them), the request policy, and the device engine
+/// behind its lock.
 struct Shared {
     stats: SharedStats,
-    logical_lines: u64,
     idle_timeout: Duration,
     frame_timeout: Duration,
     batch_max: usize,
-    jobs: usize,
     deadline_ns: Option<u64>,
     engine: Mutex<Engine>,
 }
@@ -246,12 +200,10 @@ impl Shared {
         boot: &BootReport,
     ) -> Self {
         Self {
-            stats: SharedStats::new(boot.generation),
-            logical_lines: fe.system().logical_lines(),
+            stats: SharedStats::default(),
             idle_timeout: cfg.idle_timeout,
             frame_timeout: cfg.frame_timeout,
             batch_max: cfg.batch_max.max(1),
-            jobs: cfg.jobs,
             deadline_ns: cfg.deadline_ns,
             engine: Mutex::new(Engine {
                 fe,
@@ -262,7 +214,8 @@ impl Shared {
                     seed: cfg.seed,
                     acked_writes: boot.acked_writes,
                 },
-                read_only: false,
+                boot_acked_writes: boot.acked_writes,
+                refused_read_only: 0,
             }),
         }
     }
@@ -413,36 +366,19 @@ pub fn restore(
     Ok((fe, report))
 }
 
-fn reject_to_wire(rej: &Rejected, stats: &SharedStats) -> (ErrCode, u64) {
+fn reject_to_wire(rej: &Rejected) -> (ErrCode, u64) {
     match rej {
-        Rejected::QueueFull { bank, .. } => {
-            stats.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::QueueFull, *bank as u64)
-        }
-        Rejected::DeadlineExceeded { bank, .. } => {
-            stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::DeadlineExceeded, *bank as u64)
-        }
-        Rejected::BankQuarantined { bank } => {
-            stats.shed_quarantine.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::BankQuarantined, *bank as u64)
-        }
+        Rejected::QueueFull { bank, .. } => (ErrCode::QueueFull, *bank as u64),
+        Rejected::DeadlineExceeded { bank, .. } => (ErrCode::DeadlineExceeded, *bank as u64),
+        Rejected::BankQuarantined { bank } => (ErrCode::BankQuarantined, *bank as u64),
         Rejected::RetriesExhausted { attempts, .. } => {
-            stats.shed_retries.fetch_add(1, Ordering::Relaxed);
             (ErrCode::RetriesExhausted, *attempts as u64)
         }
-        Rejected::ReadOnly => {
-            stats.shed_read_only.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::ReadOnly, 0)
-        }
+        Rejected::ReadOnly => (ErrCode::ReadOnly, 0),
         Rejected::Fault(PcmError::AddressOutOfRange { la, .. }) => {
-            stats.shed_fault.fetch_add(1, Ordering::Relaxed);
             (ErrCode::AddressOutOfRange, *la)
         }
-        Rejected::Fault(_) => {
-            stats.shed_fault.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::DeviceFault, 0)
-        }
+        Rejected::Fault(_) => (ErrCode::DeviceFault, 0),
     }
 }
 
@@ -450,26 +386,26 @@ fn clamp_ns(ns: Ns) -> u64 {
     ns.min(u64::MAX as Ns) as u64
 }
 
-/// The device engine: the front-end, its shelf and the commit counters.
+/// The device engine: the front-end, its shelf and the commit stamp.
 /// A connection thread holds it for one chunk of requests — submit,
 /// commit, encode — and never across a socket read or write.
 struct Engine {
     fe: FrontEnd<ServerScheme>,
     shelf: DiskShelf,
     stamp: CommitStamp,
-    read_only: bool,
+    /// `stamp.acked_writes` at boot: the acks of earlier generations.
+    boot_acked_writes: u64,
+    /// Writes the device applied whose ack a full shelf refused.
+    refused_read_only: u64,
 }
 
 impl Engine {
     /// Run one chunk of device requests to completion: submit it, commit
     /// its acknowledged writes, and only then encode its replies, in
     /// request order, into `out`.
-    fn run_chunk(&mut self, chunk: &[Pending], shared: &Shared, out: &mut Vec<u8>) {
+    fn run_chunk(&mut self, chunk: &[Pending], deadline_ns: Option<u64>, out: &mut Vec<u8>) {
         let arrival = self.fe.system().now_ns();
-        let deadline = shared
-            .deadline_ns
-            .map(|d| arrival + d as Ns)
-            .unwrap_or(Ns::MAX);
+        let deadline = deadline_ns.map(|d| arrival + d as Ns).unwrap_or(Ns::MAX);
         let batch: Vec<Request> = chunk
             .iter()
             .map(|p| Request {
@@ -479,8 +415,8 @@ impl Engine {
                 deadline_ns: deadline,
             })
             .collect();
-        let mut completions = self.fe.submit_batch(batch, shared.jobs);
-        completions.sort_by_key(|c| c.id);
+        // One worker: the chunk already runs under the one engine lock.
+        let completions = self.fe.submit_batch(batch, 1);
         debug_assert_eq!(completions.len(), chunk.len());
 
         let new_acks = completions
@@ -499,35 +435,19 @@ impl Engine {
         for (c, p) in completions.iter().zip(chunk) {
             let is_write = matches!(p.op, Op::Write(_));
             let resp = match (&c.result, refused.filter(|_| is_write)) {
-                (Ok(s), None) => {
-                    if is_write {
-                        shared.stats.served_writes.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .retries
-                            .fetch_add(s.retries as u64, Ordering::Relaxed);
-                        WireResponse::WriteOk {
-                            retries: s.retries,
-                            latency_ns: clamp_ns(s.latency_ns),
-                        }
-                    } else {
-                        shared.stats.served_reads.fetch_add(1, Ordering::Relaxed);
-                        WireResponse::ReadOk {
-                            data: s.data.unwrap_or(LineData::Zeros),
-                            latency_ns: clamp_ns(s.latency_ns),
-                        }
-                    }
-                }
-                (Ok(_), Some(code)) => {
-                    // The device applied this write but durability failed:
-                    // the ack is refused with the typed reason.
-                    if code == ErrCode::ReadOnly {
-                        shared.stats.shed_read_only.fetch_add(1, Ordering::Relaxed);
-                    }
-                    WireResponse::Err { code, aux: 0 }
-                }
+                (Ok(s), None) if is_write => WireResponse::WriteOk {
+                    retries: s.retries,
+                    latency_ns: clamp_ns(s.latency_ns),
+                },
+                (Ok(s), None) => WireResponse::ReadOk {
+                    data: s.data.unwrap_or(LineData::Zeros),
+                    latency_ns: clamp_ns(s.latency_ns),
+                },
+                // The device applied this write but durability failed:
+                // the ack is refused with the typed reason.
+                (Ok(_), Some(code)) => WireResponse::Err { code, aux: 0 },
                 (Err(rej), _) => {
-                    let (code, aux) = reject_to_wire(rej, &shared.stats);
+                    let (code, aux) = reject_to_wire(rej);
                     WireResponse::Err { code, aux }
                 }
             };
@@ -564,7 +484,7 @@ impl Engine {
             SaveOutcome::ReadOnly(e) => {
                 eprintln!("srbsg-server: shelf out of space ({e}); degrading to read-only serving");
                 self.stamp = committed;
-                self.read_only = true;
+                self.refused_read_only += new_acks;
                 self.fe.set_read_only(true);
                 Some(ErrCode::ReadOnly)
             }
@@ -589,18 +509,49 @@ impl Engine {
         let policy = RetryPolicy::default();
         match checkpoint_with_healing(&mut self.shelf, self.fe.system_mut(), self.stamp, &policy) {
             SaveOutcome::Saved { .. } => Ok(()),
-            SaveOutcome::ReadOnly(e) if self.read_only => {
+            SaveOutcome::ReadOnly(e) if self.fe.read_only() => {
                 eprintln!("srbsg-server: final save skipped, shelf still out of space: {e}");
                 Ok(())
             }
             SaveOutcome::ReadOnly(e) | SaveOutcome::Failed(e) => Err(e.into()),
         }
     }
+
+    /// The stats reply: request outcomes from the front-end's tally, acks
+    /// and generation from the commit stamp, and the connection counters
+    /// from `conns`. A write whose ack was refused never counts as served.
+    fn stats(&self, conns: &SharedStats) -> StatsWire {
+        let s = self.fe.stats();
+        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        StatsWire {
+            generation: self.stamp.generation,
+            accepted_conns: g(&conns.accepted_conns),
+            open_conns: g(&conns.open_conns),
+            served_reads: s.served_reads,
+            served_writes: self.stamp.acked_writes - self.boot_acked_writes,
+            retries: s.retries,
+            shed_queue_full: s.rejected_queue_full,
+            shed_deadline: s.rejected_deadline,
+            shed_quarantine: s.rejected_quarantine,
+            shed_retries: s.rejected_retries,
+            shed_fault: s.rejected_fault,
+            shed_overload: g(&conns.shed_overload),
+            shed_read_only: s.rejected_read_only + self.refused_read_only,
+            malformed_frames: g(&conns.malformed_frames),
+            draining: conns.draining.load(Ordering::Relaxed) as u64,
+        }
+    }
 }
 
 /// Triage one decoded request: a reply that needs no device is encoded
-/// into `replies` at once; a device request joins `pending`.
-fn triage(frame: RequestFrame, shared: &Shared, pending: &mut Vec<Pending>, replies: &mut Vec<u8>) {
+/// into `replies` at once; a device request joins `pending`. Fails only
+/// when a stats request finds the engine poisoned.
+fn triage(
+    frame: RequestFrame,
+    shared: &Shared,
+    pending: &mut Vec<Pending>,
+    replies: &mut Vec<u8>,
+) -> std::io::Result<()> {
     let mut direct = |resp| {
         encode_response(
             replies,
@@ -608,11 +559,15 @@ fn triage(frame: RequestFrame, shared: &Shared, pending: &mut Vec<Pending>, repl
                 req_id: frame.req_id,
                 resp,
             },
-        )
+        );
+        Ok(())
     };
     let (la, op) = match frame.req {
         WireRequest::Ping => return direct(WireResponse::Pong),
-        WireRequest::Stats => return direct(WireResponse::StatsOk(shared.stats.snapshot())),
+        WireRequest::Stats => {
+            let stats = shared.engine()?.stats(&shared.stats);
+            return direct(WireResponse::StatsOk(stats));
+        }
         WireRequest::Read { la } => (la, Op::Read),
         WireRequest::Write { la, data } => (la, Op::Write(data)),
     };
@@ -622,18 +577,12 @@ fn triage(frame: RequestFrame, shared: &Shared, pending: &mut Vec<Pending>, repl
             aux: 0,
         });
     }
-    if la >= shared.logical_lines {
-        shared.stats.shed_fault.fetch_add(1, Ordering::Relaxed);
-        return direct(WireResponse::Err {
-            code: ErrCode::AddressOutOfRange,
-            aux: la,
-        });
-    }
     pending.push(Pending {
         req_id: frame.req_id,
         la,
         op,
     });
+    Ok(())
 }
 
 /// Finish a connection's round: run its device requests through the
@@ -648,7 +597,9 @@ fn finish_round(
     replies: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     for chunk in pending.chunks(shared.batch_max) {
-        shared.engine()?.run_chunk(chunk, shared, replies);
+        shared
+            .engine()?
+            .run_chunk(chunk, shared.deadline_ns, replies);
     }
     pending.clear();
     let sent = out.write_all(replies);
@@ -675,12 +626,17 @@ fn conn_loop(mut stream: Stream, shared: &Shared) {
 
     loop {
         // Decode everything buffered, then run the round and answer it.
-        let mut bad_frame = false;
+        // A bad frame or a poisoned engine closes the connection once the
+        // replies decoded so far are sent.
+        let mut close = false;
         loop {
             match reader.next_request() {
                 Ok(Some(frame)) => {
                     last_activity = Instant::now();
-                    triage(frame, shared, &mut pending, &mut replies);
+                    if triage(frame, shared, &mut pending, &mut replies).is_err() {
+                        close = true;
+                        break;
+                    }
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -698,12 +654,12 @@ fn conn_loop(mut stream: Stream, shared: &Shared) {
                             },
                         },
                     );
-                    bad_frame = true;
+                    close = true;
                     break;
                 }
             }
         }
-        if finish_round(&mut stream, shared, &mut pending, &mut replies).is_err() || bad_frame {
+        if finish_round(&mut stream, shared, &mut pending, &mut replies).is_err() || close {
             break;
         }
         frame_start = if reader.mid_frame() {
@@ -773,6 +729,7 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     listener.set_nonblocking(true)?;
     std::fs::write(shelf.sidecar("endpoint"), bound.to_string())?;
     std::fs::write(shelf.sidecar("pid"), os::own_pid().to_string())?;
+    let lines = fe.system().logical_lines();
     let shared = Arc::new(Shared::new(&cfg, fe, shelf, &boot_report));
     println!(
         "srbsg-server listening on {bound} pid={} generation={} recovered={} replayed_steps={} rekey_movements={} lines={}",
@@ -781,7 +738,7 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
         boot_report.recovered,
         boot_report.replayed_steps,
         boot_report.rekey_movements,
-        shared.logical_lines,
+        lines,
     );
     let _ = std::io::stdout().flush();
 
@@ -813,8 +770,11 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     while shared.stats.open_conns.load(Ordering::Acquire) > 0 {
         thread::sleep(Duration::from_millis(5));
     }
-    shared.engine()?.finish()?;
-    let s = shared.stats.snapshot();
+    let s = {
+        let mut engine = shared.engine()?;
+        engine.finish()?;
+        engine.stats(&shared.stats)
+    };
     println!(
         "srbsg-server drained: served_reads={} served_writes={} shed_overload={} malformed_frames={}",
         s.served_reads, s.served_writes, s.shed_overload, s.malformed_frames
@@ -843,6 +803,7 @@ fn refuse_overloaded(stream: Stream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srbsg_persist::{FaultKind, FaultPlan, FaultyMedia, MemMedia};
 
     fn test_cfg(dir: &str) -> ServerConfig {
         ServerConfig {
@@ -948,18 +909,28 @@ mod tests {
         shared.engine().unwrap().stamp.save_seq
     }
 
+    /// Decode every frame of one write.
+    fn frames(bytes: &[u8]) -> Vec<ResponseFrame> {
+        let mut r = FrameReader::new();
+        r.extend(bytes);
+        let mut frames = Vec::new();
+        while let Some(f) = r.next_response().unwrap() {
+            frames.push(f);
+        }
+        assert!(!r.mid_frame(), "a write holds whole frames only");
+        frames
+    }
+
     /// Decode every frame of one write, checking each is a `WriteOk`;
     /// returns the request ids in wire order.
     fn acked_ids(bytes: &[u8]) -> Vec<u64> {
-        let mut r = FrameReader::new();
-        r.extend(bytes);
-        let mut ids = Vec::new();
-        while let Some(f) = r.next_response().unwrap() {
-            assert!(matches!(f.resp, WireResponse::WriteOk { .. }), "{f:?}");
-            ids.push(f.req_id);
-        }
-        assert!(!r.mid_frame(), "a write holds whole frames only");
-        ids
+        frames(bytes)
+            .into_iter()
+            .map(|f| {
+                assert!(matches!(f.resp, WireResponse::WriteOk { .. }), "{f:?}");
+                f.req_id
+            })
+            .collect()
     }
 
     #[test]
@@ -1016,6 +987,70 @@ mod tests {
         let mut pending = writes(2);
         finish_round(&mut ok, &shared, &mut pending, &mut replies).unwrap();
         assert_eq!(acked_ids(&ok.writes[0]), vec![0, 1]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_commit_refused_for_space_sheds_its_writes_once_and_serves_none() {
+        let (shared, dir) = booted("srbsg_enospc", 64);
+        let stats = || shared.engine().unwrap().stats(&shared.stats);
+        let run = |chunk: &[Pending]| {
+            let mut out = Vec::new();
+            shared.engine().unwrap().run_chunk(chunk, None, &mut out);
+            frames(&out)
+        };
+        let healthy = run(&writes(4));
+        assert!(healthy
+            .iter()
+            .all(|f| matches!(f.resp, WireResponse::WriteOk { .. })));
+        let before = stats();
+        assert_eq!((before.served_writes, before.shed_read_only), (4, 0));
+
+        // The shelf fills up: the next chunk's commit hits ENOSPC.
+        let mut full = FaultyMedia::new(MemMedia::new());
+        full.set_plan(FaultPlan::new(FaultKind::NoSpace, 1));
+        shared.engine().unwrap().shelf = DiskShelf::with_media(Box::new(full));
+        let mut chunk = writes(3);
+        chunk.push(Pending {
+            req_id: 3,
+            la: 5,
+            op: Op::Read,
+        });
+        let replies = run(&chunk);
+        for f in &replies[..3] {
+            assert!(
+                matches!(
+                    f.resp,
+                    WireResponse::Err {
+                        code: ErrCode::ReadOnly,
+                        aux: 0
+                    }
+                ),
+                "{f:?}"
+            );
+        }
+        assert!(matches!(replies[3].resp, WireResponse::ReadOk { .. }));
+        let refused = stats();
+        assert_eq!(
+            refused.served_writes, before.served_writes,
+            "no ack went out"
+        );
+        assert_eq!(refused.shed_read_only, 3, "the chunk's writes, each once");
+        assert_eq!(refused.served_reads, before.served_reads + 1);
+        assert!(shared.engine().unwrap().fe.read_only());
+
+        // A later write is shed at admission, and counted once.
+        let later = run(&writes(1));
+        assert!(matches!(
+            later[0].resp,
+            WireResponse::Err {
+                code: ErrCode::ReadOnly,
+                ..
+            }
+        ));
+        let after = stats();
+        assert_eq!(after.served_writes, before.served_writes);
+        assert_eq!(after.shed_read_only, 4);
         let _ = std::fs::remove_dir_all(dir);
     }
 

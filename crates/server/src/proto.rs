@@ -201,7 +201,9 @@ pub struct RequestFrame {
 
 /// Server counters exposed over the wire (the `Stats` opcode). All
 /// counters are for the current power session (they restart at zero on a
-/// server restart, except `generation` which counts restarts).
+/// server restart, except `generation` which counts restarts). The
+/// request counters are the front-end's [`srbsg_serve::ServeStats`]; the
+/// connection counters are the server's own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsWire {
     /// Restart generation: 0 for a fresh store, +1 per recovery.
@@ -214,7 +216,9 @@ pub struct StatsWire {
     pub served_reads: u64,
     /// Writes acknowledged (durable).
     pub served_writes: u64,
-    /// Device-level write retries performed.
+    /// Front-end write re-issues, every one: those of writes that
+    /// verified and those of writes that ran out of retries or deadline
+    /// ([`srbsg_serve::ServeStats::retries`]).
     pub retries: u64,
     /// Requests shed with [`ErrCode::QueueFull`].
     pub shed_queue_full: u64,
@@ -224,13 +228,15 @@ pub struct StatsWire {
     pub shed_quarantine: u64,
     /// Writes shed with [`ErrCode::RetriesExhausted`].
     pub shed_retries: u64,
-    /// Requests failed with a device fault or out-of-range address.
+    /// Requests failed with [`ErrCode::DeviceFault`], or refused with
+    /// [`ErrCode::AddressOutOfRange`] by the front-end's admission check.
     pub shed_fault: u64,
     /// Connections refused with [`ErrCode::Overloaded`] at the
     /// connection cap.
     pub shed_overload: u64,
     /// Writes shed with [`ErrCode::ReadOnly`] (storage-space
-    /// degradation).
+    /// degradation): those refused at admission and those whose ack a
+    /// commit refused for space.
     pub shed_read_only: u64,
     /// Malformed frames received (each closed its connection).
     pub malformed_frames: u64,

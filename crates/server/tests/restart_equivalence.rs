@@ -22,6 +22,14 @@ struct ServerProc {
     endpoint: Endpoint,
 }
 
+/// A test that fails mid-way must not leave its server running.
+impl Drop for ServerProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 fn start_server(dir: &Path, tag: &str) -> ServerProc {
     let sock = dir.join(format!("{tag}.sock"));
     let child = Command::new(env!("CARGO_BIN_EXE_srbsg-server"))
