@@ -141,6 +141,16 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a `u64` as an unsigned LEB128 varint: seven bits per byte,
+    /// low bits first, the high bit set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Append raw bytes with no framing (caller encodes the length).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -182,6 +192,29 @@ impl<'a> Dec<'a> {
     pub fn u64(&mut self) -> Result<u64, PersistError> {
         let raw = self.take(8)?;
         Ok(u64::from_le_bytes(raw.try_into().unwrap()))
+    }
+
+    /// Read an unsigned LEB128 varint ([`Enc::varint`]). Only the
+    /// shortest encoding of a value decodes: a varint past ten bytes, one
+    /// whose bits overflow a `u64`, or one ending in a redundant zero
+    /// byte is [`PersistError::Corrupt`].
+    pub fn varint(&mut self) -> Result<u64, PersistError> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            let bits = (b & 0x7F) as u64;
+            if i == 9 && b > 1 {
+                return Err(PersistError::Corrupt("overlong varint"));
+            }
+            v |= bits << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(PersistError::Corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(PersistError::Corrupt("overlong varint"))
     }
 
     /// Read exactly `n` raw bytes.
@@ -265,6 +298,41 @@ mod tests {
         assert_eq!(d.u64().unwrap(), u64::MAX - 3);
         assert_eq!(d.take(3).unwrap(), b"xyz");
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width_and_refuse_overlong_forms() {
+        let mut values = vec![0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|b| 1u64 << b));
+        for v in values {
+            let mut e = Enc::new();
+            e.varint(v);
+            let bytes = e.into_bytes();
+            let width = (64 - v.leading_zeros()).div_ceil(7).max(1) as usize;
+            assert_eq!(bytes.len(), width, "{v:#x}");
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.varint(), Ok(v));
+            d.finish().unwrap();
+            // Every strict prefix is a truncation.
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    Dec::new(&bytes[..cut]).varint(),
+                    Err(PersistError::Truncated)
+                );
+            }
+        }
+        let overlong: [&[u8]; 4] = [
+            &[0x80, 0x00],
+            &[0xFF, 0x80, 0x00],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            &[0x80; 11],
+        ];
+        for bytes in overlong {
+            assert!(
+                matches!(Dec::new(bytes).varint(), Err(PersistError::Corrupt(_))),
+                "{bytes:x?}"
+            );
+        }
     }
 
     #[test]

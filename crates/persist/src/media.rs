@@ -328,7 +328,10 @@ fn io_err(op: MediaOp) -> impl Fn(io::Error) -> MediaError {
 pub struct DirMedia {
     dir: PathBuf,
     fsync: bool,
-    dirty: Vec<String>,
+    /// Every file written since it was created or renamed into place,
+    /// and whether it has bytes the next barrier must flush. Names stay
+    /// after a barrier, so a steady-state append allocates nothing.
+    dirty: BTreeMap<String, bool>,
     dir_dirty: bool,
     appends: BTreeMap<String, std::fs::File>,
 }
@@ -340,7 +343,7 @@ impl DirMedia {
         Ok(Self {
             dir: dir.to_path_buf(),
             fsync,
-            dirty: Vec::new(),
+            dirty: BTreeMap::new(),
             dir_dirty: false,
             appends: BTreeMap::new(),
         })
@@ -352,8 +355,11 @@ impl DirMedia {
     }
 
     fn mark_dirty(&mut self, name: &str) {
-        if !self.dirty.iter().any(|d| d == name) {
-            self.dirty.push(name.to_string());
+        match self.dirty.get_mut(name) {
+            Some(unsynced) => *unsynced = true,
+            None => {
+                self.dirty.insert(name.to_string(), true);
+            }
         }
     }
 }
@@ -397,7 +403,8 @@ impl Media for DirMedia {
         self.appends.remove(from);
         self.appends.remove(to);
         std::fs::rename(self.dir.join(from), self.dir.join(to)).map_err(io_err(MediaOp::Rename))?;
-        self.dirty.retain(|d| d != from && d != to);
+        self.dirty.remove(from);
+        self.dirty.remove(to);
         self.mark_dirty(to);
         self.dir_dirty = true;
         Ok(())
@@ -407,7 +414,7 @@ impl Media for DirMedia {
         self.appends.remove(name);
         match std::fs::remove_file(self.dir.join(name)) {
             Ok(()) => {
-                self.dirty.retain(|d| d != name);
+                self.dirty.remove(name);
                 self.dir_dirty = true;
                 Ok(())
             }
@@ -430,13 +437,16 @@ impl Media for DirMedia {
 
     fn sync(&mut self) -> Result<(), MediaError> {
         if !self.fsync {
-            self.dirty.clear();
+            self.dirty
+                .values_mut()
+                .for_each(|unsynced| *unsynced = false);
             self.dir_dirty = false;
             return Ok(());
         }
-        for name in std::mem::take(&mut self.dirty) {
-            let f = std::fs::File::open(self.dir.join(&name)).map_err(io_err(MediaOp::Sync))?;
+        for (name, unsynced) in self.dirty.iter_mut().filter(|(_, u)| **u) {
+            let f = std::fs::File::open(self.dir.join(name)).map_err(io_err(MediaOp::Sync))?;
             f.sync_all().map_err(io_err(MediaOp::Sync))?;
+            *unsynced = false;
         }
         // The rename/removal commits live in the directory entry: a failed
         // directory sync means the commit may not be durable, so it fails

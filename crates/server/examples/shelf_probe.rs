@@ -1,0 +1,195 @@
+//! Per-layer probe of the shelf's durable bytes at the benchmark's
+//! geometry: 4 banks × 2^16 lines, rounds of 8 writes committed one round
+//! at a time, the shelf on a local directory without `--fsync`.
+//!
+//! It reports the log record bytes per commit, checkpoints per 100k acks,
+//! the wall time of a checkpoint split into encode, CRC and media calls,
+//! and the wall time of a fresh boot. Media is the time inside the
+//! medium's calls, CRC is one CRC-64 over an image-sized buffer, and
+//! encode is the rest of the checkpoint's wall time.
+//!
+//! ```sh
+//! cargo run --release -p srbsg-server --example shelf_probe -- [DIR] [ACKS]
+//! ```
+//!
+//! `DIR` (default: a fresh directory under the system temporary
+//! directory) is emptied first and removed at the end; `ACKS` defaults to
+//! 400000.
+
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use srbsg_pcm::LineData;
+use srbsg_persist::{crc64, DirMedia, Media, MediaError};
+use srbsg_server::{
+    boot, checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy,
+    SaveOutcome, ServerConfig,
+};
+use srbsg_workloads::splitmix64;
+
+/// What the medium saw since the tally was last taken.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    media: Duration,
+    appended: u64,
+    image_writes: u64,
+    image_bytes: u64,
+}
+
+/// A [`DirMedia`] that times every call and counts appended bytes and
+/// checkpoint-image writes.
+#[derive(Debug)]
+struct Probe {
+    inner: DirMedia,
+    tally: Arc<Mutex<Tally>>,
+}
+
+impl Probe {
+    fn timed<T>(&mut self, f: impl FnOnce(&mut DirMedia) -> T) -> T {
+        let t = Instant::now();
+        let out = f(&mut self.inner);
+        self.tally.lock().expect("tally holder panicked").media += t.elapsed();
+        out
+    }
+}
+
+impl Media for Probe {
+    fn read(&mut self, name: &str) -> Result<Option<Vec<u8>>, MediaError> {
+        self.timed(|m| m.read(name))
+    }
+    fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        if name.starts_with("state.") {
+            let mut t = self.tally.lock().expect("tally holder panicked");
+            t.image_writes += 1;
+            t.image_bytes = bytes.len() as u64;
+        }
+        self.timed(|m| m.write(name, bytes))
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
+        self.tally.lock().expect("tally holder panicked").appended += bytes.len() as u64;
+        self.timed(|m| m.append(name, bytes))
+    }
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
+        self.timed(|m| m.rename(from, to))
+    }
+    fn remove(&mut self, name: &str) -> Result<(), MediaError> {
+        self.timed(|m| m.remove(name))
+    }
+    fn list(&mut self) -> Result<Vec<String>, MediaError> {
+        self.timed(|m| m.list())
+    }
+    fn sync(&mut self) -> Result<(), MediaError> {
+        self.timed(|m| m.sync())
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+fn main() -> std::io::Result<()> {
+    let mut args = std::env::args().skip(1);
+    let dir = args.next().map(PathBuf::from).unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("srbsg_shelf_probe_{}", std::process::id()))
+    });
+    let acks: u64 = args.next().map_or(400_000, |a| a.parse().expect("ACKS"));
+    let cfg = ServerConfig {
+        data_dir: dir.clone(),
+        banks: 4,
+        width: 16,
+        ..ServerConfig::default()
+    };
+
+    // Fresh boots: build the device and write its first checkpoint.
+    let mut boots = Vec::new();
+    let mut booted = None;
+    for _ in 0..5 {
+        let _ = std::fs::remove_dir_all(&dir);
+        let t = Instant::now();
+        let (fe, _, report) = boot(&cfg)?;
+        boots.push(ms(t.elapsed()));
+        booted = Some((fe, report));
+    }
+    let (mut fe, report) = booted.expect("five boots");
+
+    let tally = Arc::new(Mutex::new(Tally::default()));
+    let media = Probe {
+        inner: DirMedia::open(&dir, false)?,
+        tally: tally.clone(),
+    };
+    let mut shelf = DiskShelf::with_media(Box::new(media));
+    let policy = RetryPolicy::default();
+    let mut stamp = CommitStamp {
+        save_seq: report.save_seq + 1,
+        seed: cfg.seed,
+        ..CommitStamp::default()
+    };
+    let armed = checkpoint_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
+    assert!(matches!(armed, SaveOutcome::Saved { .. }), "{armed:?}");
+    *tally.lock().expect("tally holder panicked") = Tally::default();
+
+    let lines = fe.system().logical_lines();
+    let (mut records, mut record_bytes) = (0u64, 0u64);
+    let (mut checkpoints, mut image_bytes) = (Vec::new(), 0);
+    let mut s = 6u64;
+    while stamp.acked_writes < acks {
+        for _ in 0..8 {
+            s = splitmix64(s);
+            fe.system_mut()
+                .try_write(s % lines, LineData::Mixed((s >> 40) as u32))
+                .expect("in-range write");
+        }
+        stamp.acked_writes += 8;
+        stamp.save_seq += 1;
+        let t = Instant::now();
+        let outcome = commit_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
+        let wall = t.elapsed();
+        assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 });
+        let seen = std::mem::take(&mut *tally.lock().expect("tally holder panicked"));
+        if seen.image_writes > 0 {
+            checkpoints.push((wall, seen.media));
+            image_bytes = seen.image_bytes;
+        } else {
+            records += 1;
+            // Both log copies get the same record.
+            record_bytes += seen.appended / 2;
+        }
+    }
+
+    let image = vec![0xA5u8; image_bytes as usize];
+    let crc: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(crc64(std::hint::black_box(&image)));
+            ms(t.elapsed())
+        })
+        .collect();
+    let crc = median(crc);
+    let total = median(checkpoints.iter().map(|c| ms(c.0)).collect());
+    let media = median(checkpoints.iter().map(|c| ms(c.1)).collect());
+    println!("acks={} commits={}", stamp.acked_writes, stamp.save_seq);
+    println!("image_bytes={image_bytes}");
+    println!(
+        "record_bytes_per_commit={:.1}",
+        record_bytes as f64 / records.max(1) as f64
+    );
+    println!(
+        "checkpoints_per_100k_acks={:.2}",
+        checkpoints.len() as f64 * 1e5 / stamp.acked_writes as f64
+    );
+    println!(
+        "checkpoint_ms={total:.2} encode_ms={:.2} crc_ms={crc:.2} media_ms={media:.2} (medians of {})",
+        total - media - crc,
+        checkpoints.len()
+    );
+    println!("fresh_boot_ms={:.2} (median of 5)", median(boots));
+    drop(shelf);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}

@@ -933,6 +933,82 @@ mod tests {
             .collect()
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_signal_caught_while_parked_in_recv_keeps_the_connection() {
+        use crate::proto::encode_request;
+        use std::io::Read;
+        use std::os::unix::net::UnixStream;
+        use std::sync::atomic::AtomicUsize;
+
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+            fn pthread_self() -> usize;
+            fn pthread_kill(thread: usize, sig: i32) -> i32;
+        }
+        extern "C" fn ignore(_sig: i32) {}
+        const SIGUSR1: i32 = 10;
+        // SAFETY: installs a handler that does nothing.
+        unsafe { signal(SIGUSR1, ignore as extern "C" fn(i32) as *const () as usize) };
+
+        let (shared, dir) = booted("srbsg_eintr", 64);
+        let (mut client, server) = UnixStream::pair().unwrap();
+        let conn_thread = AtomicUsize::new(0);
+        let closed = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                // SAFETY: reads this thread's own id.
+                conn_thread.store(unsafe { pthread_self() }, Ordering::Release);
+                conn_loop(Stream::Unix(server), &shared);
+                closed.store(true, Ordering::Release);
+            });
+            // Interrupt the connection thread while it waits in `recv`,
+            // with nothing sent yet: each signal lands in a read that is
+            // mostly parked, under its 50 ms read timeout.
+            for _ in 0..10 {
+                thread::sleep(Duration::from_millis(15));
+                let tid = conn_thread.load(Ordering::Acquire);
+                if tid != 0 && !closed.load(Ordering::Acquire) {
+                    // SAFETY: the scoped thread is not joined yet, so its
+                    // id stays valid.
+                    unsafe { pthread_kill(tid, SIGUSR1) };
+                }
+            }
+            let mut req = Vec::new();
+            encode_request(
+                &mut req,
+                &RequestFrame {
+                    req_id: 7,
+                    req: WireRequest::Write {
+                        la: 3,
+                        data: LineData::Mixed(9),
+                    },
+                },
+            );
+            client.write_all(&req).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = FrameReader::new();
+            let mut buf = [0u8; 256];
+            let reply = loop {
+                if let Some(f) = reader.next_response().unwrap() {
+                    break f;
+                }
+                let n = client.read(&mut buf).unwrap();
+                assert!(n > 0, "the connection closed before its reply");
+                reader.extend(&buf[..n]);
+            };
+            assert_eq!(reply.req_id, 7);
+            assert!(
+                matches!(reply.resp, WireResponse::WriteOk { .. }),
+                "{reply:?}"
+            );
+            drop(client);
+        });
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn a_buffered_round_of_8_is_one_write_in_order() {
         let (shared, dir) = booted("srbsg_round8", 64);

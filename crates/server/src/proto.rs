@@ -526,10 +526,18 @@ impl FrameReader {
     }
 
     /// Read once from `r` into the internal buffer, returning the byte
-    /// count (0 = clean EOF).
+    /// count (0 = clean EOF). A read a caught signal interrupted is
+    /// retried: a `recv` on a socket with a read timeout is never
+    /// restarted by the kernel, so a signal handled on this thread would
+    /// otherwise look like a failed connection.
     pub fn fill_from<R: std::io::Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
         let mut chunk = [0u8; 4096];
-        let n = r.read(&mut chunk)?;
+        let n = loop {
+            match r.read(&mut chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
         self.buf.extend_from_slice(&chunk[..n]);
         Ok(n)
     }

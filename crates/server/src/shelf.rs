@@ -17,16 +17,22 @@
 //!   barrier ([`commit_with_healing`]). A record carries the commit's
 //!   counters, the `(slot, data, wear)` of every slot the batch touched
 //!   (the banks' dirty sets, [`srbsg_pcm::PcmBank::take_dirty`]), and each
-//!   bank's [`Store`] delta: the journal bytes appended since the previous
-//!   commit, or the whole small store after a journal checkpoint. So a
-//!   commit writes O(batch) bytes, not O(device).
+//!   bank's [`Store`] delta under one of three tags: 0, the journal bytes
+//!   appended since the previous commit; 2, after exactly one journal
+//!   checkpoint, the newly active snapshot slot ([`Store::active_slot`]),
+//!   the marker and the journal; 1, the whole small store in any other
+//!   case. Counts, slots, wear and lengths are LEB128 varints and a line
+//!   is its kind byte, plus the tag only for `Mixed`. So a commit writes
+//!   O(batch) bytes, not O(device), and few of them.
 //! * When the log would reach the size of the checkpoint image, the
 //!   commit writes a new checkpoint instead and empties both logs. Write
 //!   amplification stays within 2× and a load replays at most one image's
 //!   worth of records. Boot and the drain finale always checkpoint.
 //! * The checkpoint keeps two full copies, `state.a` and `state.b`, each
 //!   replaced by write-to-temp + barrier + rename, then a doubled barrier
-//!   ([`DiskShelf::save`]).
+//!   ([`DiskShelf::save`]). [`checkpoint_with_healing`] encodes the image
+//!   straight from the live banks into one buffer the shelf keeps, with
+//!   the same bytes as [`ShelfState::capture`] would encode.
 //!
 //! Under the single-fault model, one lying fsync can never leave a
 //! reported-durable commit unflushed, because an honest barrier always
@@ -59,14 +65,13 @@ use std::time::Duration;
 
 use srbsg_pcm::{LineData, MultiBankSystem, Ns, PcmBank};
 use srbsg_persist::{
-    crc64, decode_line_data, encode_line_data, Dec, DirMedia, Enc, Media, MediaError, PersistError,
-    Store,
+    crc64, decode_line_data, Dec, DirMedia, Enc, Media, MediaError, PersistError, Store,
 };
 
 use crate::engine::ServerScheme;
 
 const MAGIC: u64 = 0x5342_5347_5348_4C46; // "SBSGSHLF"
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// The two checkpoint copies on the medium (dual-slot rot tolerance).
 pub const SHELF_SLOTS: [&str; 2] = ["state.a", "state.b"];
@@ -154,29 +159,51 @@ impl BankShelf {
         })
     }
 
-    fn encoded_len(&self) -> usize {
-        let store: usize = Self::store_parts(&self.store)
-            .iter()
-            .map(|p| 8 + p.len())
-            .sum();
-        let sram = if self.sram_slot.is_some() { 9 } else { 1 };
-        store + 8 + self.data.len() * LINE_DATA_BYTES + self.wear.len() * 8 + sram
+    /// Bytes one bank's image takes in a checkpoint.
+    fn image_len(store: &Store, slots: u64, sram_slot: Option<u64>) -> usize {
+        let store: usize = Self::store_parts(store).iter().map(|p| 8 + p.len()).sum();
+        let sram = if sram_slot.is_some() { 9 } else { 1 };
+        store + 8 + slots as usize * (LINE_DATA_BYTES + 8) + sram
     }
 
-    fn encode(&self, enc: &mut Enc) {
-        Self::encode_store(&self.store, enc);
-        enc.u64(self.slots);
-        for &d in &self.data {
-            encode_line_data(enc, d);
+    /// Append one bank's checkpoint image to `out`: the store, the slot
+    /// count, every slot's line data (in
+    /// [`srbsg_persist::encode_line_data`]'s layout), every slot's wear,
+    /// and the SRAM slot. The captured and the streamed checkpoint both
+    /// encode through here.
+    fn encode_image(
+        out: &mut Vec<u8>,
+        store: &Store,
+        lines: impl Iterator<Item = LineData>,
+        wear: &[u64],
+        sram_slot: Option<u64>,
+    ) {
+        for part in Self::store_parts(store) {
+            out.extend_from_slice(&(part.len() as u64).to_le_bytes());
+            out.extend_from_slice(part);
         }
-        for &w in &self.wear {
-            enc.u64(w);
+        out.extend_from_slice(&(wear.len() as u64).to_le_bytes());
+        let at = out.len();
+        out.resize(at + wear.len() * LINE_DATA_BYTES, 0);
+        for (cell, d) in out[at..].chunks_exact_mut(LINE_DATA_BYTES).zip(lines) {
+            let (kind, tag) = match d {
+                LineData::Zeros => (0, 0),
+                LineData::Ones => (1, 0),
+                LineData::Mixed(tag) => (2, tag),
+            };
+            cell[0] = kind;
+            cell[1..].copy_from_slice(&tag.to_le_bytes());
         }
-        match self.sram_slot {
-            None => enc.u8(0),
+        let at = out.len();
+        out.resize(at + wear.len() * 8, 0);
+        for (cell, w) in out[at..].chunks_exact_mut(8).zip(wear) {
+            cell.copy_from_slice(&w.to_le_bytes());
+        }
+        match sram_slot {
+            None => out.push(0),
             Some(s) => {
-                enc.u8(1);
-                enc.u64(s);
+                out.push(1);
+                out.extend_from_slice(&s.to_le_bytes());
             }
         }
     }
@@ -210,8 +237,66 @@ impl BankShelf {
     }
 }
 
-/// Bytes [`encode_line_data`] writes per line.
+/// Bytes [`srbsg_persist::encode_line_data`] writes per line.
 const LINE_DATA_BYTES: usize = 5;
+
+/// Checkpoint bytes ahead of the per-bank images: magic, version, the
+/// stamp, the clock and the bank count.
+const IMAGE_HEADER_BYTES: usize = 64;
+
+/// Start a checkpoint image in `out`, emptied first: its header, sized for
+/// `len` bytes in all.
+fn begin_image(out: &mut Vec<u8>, len: usize, stamp: CommitStamp, now_ns: Ns, banks: usize) {
+    out.clear();
+    out.reserve(len);
+    let mut enc = Enc::from_vec(std::mem::take(out));
+    enc.u64(MAGIC);
+    enc.u32(VERSION);
+    enc.u64(stamp.save_seq);
+    enc.u64(stamp.generation);
+    enc.u64(stamp.seed);
+    enc.u64((now_ns >> 64) as u64);
+    enc.u64(now_ns as u64);
+    enc.u64(stamp.acked_writes);
+    enc.u32(banks as u32);
+    *out = enc.into_bytes();
+}
+
+/// Close a checkpoint image with the CRC of everything before it.
+fn seal_image(out: &mut Vec<u8>, len: usize) {
+    let crc = crc64(out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(out.len(), len, "checkpoint size estimate is exact");
+}
+
+/// Encode the checkpoint image of a live device into `out`, straight from
+/// its banks: the same bytes as `ShelfState::capture(sys, stamp)` encodes,
+/// without the capture's copy of every line and wear counter.
+fn encode_live_image(out: &mut Vec<u8>, sys: &MultiBankSystem<ServerScheme>, stamp: CommitStamp) {
+    let banks = sys.banks();
+    let len = IMAGE_HEADER_BYTES
+        + banks
+            .iter()
+            .map(|mc| {
+                let bank = mc.bank();
+                BankShelf::image_len(mc.scheme().store(), bank.slots(), bank.sram_slot())
+            })
+            .sum::<usize>()
+        + 8;
+    begin_image(out, len, stamp, sys.now_ns(), banks.len());
+    for mc in banks {
+        let bank = mc.bank();
+        let slots = bank.slots();
+        BankShelf::encode_image(
+            out,
+            mc.scheme().store(),
+            (0..slots).map(|s| bank.read_line(s)),
+            &bank.wear()[..slots as usize],
+            bank.sram_slot(),
+        );
+    }
+    seal_image(out, len);
+}
 
 /// The engine's counters a commit stamps on the shelf.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -268,25 +353,36 @@ impl ShelfState {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let len = 64 + self.banks.iter().map(BankShelf::encoded_len).sum::<usize>() + 8;
-        let mut enc = Enc::with_capacity(len);
-        enc.u64(MAGIC);
-        enc.u32(VERSION);
-        enc.u64(self.save_seq);
-        enc.u64(self.generation);
-        enc.u64(self.seed);
-        enc.u64((self.now_ns >> 64) as u64);
-        enc.u64(self.now_ns as u64);
-        enc.u64(self.acked_writes);
-        enc.u32(self.banks.len() as u32);
-        for b in &self.banks {
-            b.encode(&mut enc);
+    /// The engine's counters this image is stamped with.
+    fn stamp(&self) -> CommitStamp {
+        CommitStamp {
+            save_seq: self.save_seq,
+            generation: self.generation,
+            seed: self.seed,
+            acked_writes: self.acked_writes,
         }
-        let mut bytes = enc.into_bytes();
-        let crc = crc64(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(bytes.len(), len, "checkpoint size estimate is exact");
+    }
+
+    /// Encode the checkpoint image into `out`, replacing its contents.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let len = IMAGE_HEADER_BYTES
+            + self
+                .banks
+                .iter()
+                .map(|b| BankShelf::image_len(&b.store, b.slots, b.sram_slot))
+                .sum::<usize>()
+            + 8;
+        begin_image(out, len, self.stamp(), self.now_ns, self.banks.len());
+        for b in &self.banks {
+            BankShelf::encode_image(out, &b.store, b.data.iter().copied(), &b.wear, b.sram_slot);
+        }
+        seal_image(out, len);
+    }
+
+    #[cfg(test)]
+    fn encode(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.encode_into(&mut bytes);
         bytes
     }
 
@@ -332,44 +428,99 @@ impl ShelfState {
     }
 
     /// Fold one log record (the payload of a whole frame) into the image.
-    /// Record layout:
+    /// Record layout (`var` is an LEB128 varint, `line` a kind byte —
+    /// 0 zeros, 1 ones, 2 mixed — then, for mixed only, its tag `u32`):
     ///
     /// ```text
-    /// save_seq u64 | now_ns (hi u64, lo u64) | acked_writes u64 | banks u32
-    /// per bank: dirty u32 | dirty × (slot u64 | line data | wear u64)
-    ///           | 0u8 journal-suffix (len u64 | bytes) or 1u8 whole store
+    /// save_seq var | now_ns (hi var, lo var) | acked_writes var | banks var
+    /// per bank: dirty var | dirty × (slot var | line | wear var) | store
+    /// store:    0u8 | len var | journal suffix     (no journal checkpoint)
+    ///         | 1u8 | whole store, as in the image  (fallback)
+    ///         | 2u8 | slot u8 | 3 × (len var | bytes): the newly active
+    ///           snapshot slot, the marker, the journal (one checkpoint)
     /// ```
     fn apply_record(&mut self, payload: &[u8]) -> Result<(), PersistError> {
         let mut dec = Dec::new(payload);
-        self.save_seq = dec.u64()?;
-        let now_hi = dec.u64()?;
-        let now_lo = dec.u64()?;
+        self.save_seq = dec.varint()?;
+        let now_hi = dec.varint()?;
+        let now_lo = dec.varint()?;
         self.now_ns = ((now_hi as Ns) << 64) | now_lo as Ns;
-        self.acked_writes = dec.u64()?;
-        if dec.u32()? as usize != self.banks.len() {
+        self.acked_writes = dec.varint()?;
+        if dec.varint()? != self.banks.len() as u64 {
             return Err(PersistError::Corrupt("shelf log record bank count"));
         }
         for bank in &mut self.banks {
-            let dirty = dec.u32()?;
+            let dirty = dec.varint()?;
             for _ in 0..dirty {
-                let slot = dec.u64()?;
+                let slot = dec.varint()?;
                 if slot >= bank.slots {
                     return Err(PersistError::Corrupt("shelf log slot out of range"));
                 }
-                bank.data[slot as usize] = decode_line_data(&mut dec)?;
-                bank.wear[slot as usize] = dec.u64()?;
+                bank.data[slot as usize] = decode_record_line(&mut dec)?;
+                bank.wear[slot as usize] = dec.varint()?;
             }
             match dec.u8()? {
-                0 => {
-                    let len = dec.u64()? as usize;
-                    bank.store.journal.extend_from_slice(dec.take(len)?);
+                STORE_SUFFIX => {
+                    let suffix = take_varint_len(&mut dec)?;
+                    bank.store.journal.extend_from_slice(suffix);
                 }
-                1 => bank.store = BankShelf::decode_store(&mut dec)?,
+                STORE_WHOLE => bank.store = BankShelf::decode_store(&mut dec)?,
+                STORE_SLOT => {
+                    let slot = dec.u8()? as usize;
+                    if slot >= bank.store.slots.len() {
+                        return Err(PersistError::Corrupt("bad shelf log snapshot slot"));
+                    }
+                    bank.store.slots[slot] = take_varint_len(&mut dec)?.to_vec();
+                    bank.store.marker = take_varint_len(&mut dec)?.to_vec();
+                    bank.store.journal = take_varint_len(&mut dec)?.to_vec();
+                }
                 _ => return Err(PersistError::Corrupt("bad shelf log store tag")),
             }
         }
         dec.finish()
     }
+}
+
+/// Record store tag: the journal bytes appended since the last commit.
+const STORE_SUFFIX: u8 = 0;
+/// Record store tag: the whole store.
+const STORE_WHOLE: u8 = 1;
+/// Record store tag: after one journal checkpoint, the newly active
+/// snapshot slot, the marker and the journal; the other slot is unchanged.
+const STORE_SLOT: u8 = 2;
+
+/// A record's line data: the kind byte, then the tag for `Mixed` only.
+fn encode_record_line(enc: &mut Enc, data: LineData) {
+    match data {
+        LineData::Zeros => enc.u8(0),
+        LineData::Ones => enc.u8(1),
+        LineData::Mixed(tag) => {
+            enc.u8(2);
+            enc.u32(tag);
+        }
+    }
+}
+
+/// Inverse of [`encode_record_line`].
+fn decode_record_line(dec: &mut Dec) -> Result<LineData, PersistError> {
+    match dec.u8()? {
+        0 => Ok(LineData::Zeros),
+        1 => Ok(LineData::Ones),
+        2 => Ok(LineData::Mixed(dec.u32()?)),
+        _ => Err(PersistError::Corrupt("unknown line-data kind")),
+    }
+}
+
+/// A varint length, then that many bytes.
+fn put_varint_len(enc: &mut Enc, bytes: &[u8]) {
+    enc.varint(bytes.len() as u64);
+    enc.bytes(bytes);
+}
+
+/// Inverse of [`put_varint_len`].
+fn take_varint_len<'a>(dec: &mut Dec<'a>) -> Result<&'a [u8], PersistError> {
+    let len = usize::try_from(dec.varint()?).map_err(|_| PersistError::Truncated)?;
+    dec.take(len)
 }
 
 /// Log frame: `len u32 | check u32 | payload (len bytes) | crc64 u64`,
@@ -382,14 +533,14 @@ fn frame_check(len: u32) -> u32 {
     crc64(&len.to_le_bytes()) as u32
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("shelf log record under 4 GiB");
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame_check(len).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc64(payload).to_le_bytes());
-    out
+/// Frame the payload at `buf[8..]` in place: fill in the header the
+/// first 8 bytes hold room for, and append the payload's CRC.
+fn seal_frame(buf: &mut Vec<u8>) {
+    let len = u32::try_from(buf.len() - 8).expect("shelf log record under 4 GiB");
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf[4..8].copy_from_slice(&frame_check(len).to_le_bytes());
+    let crc = crc64(&buf[8..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// What one log copy holds at an offset.
@@ -562,6 +713,11 @@ pub struct DiskShelf {
     media: Box<dyn Media>,
     dir: PathBuf,
     log: LogCursor,
+    /// The checkpoint image being saved; kept, so a checkpoint reuses the
+    /// previous one's allocation.
+    image: Vec<u8>,
+    /// The framed log record being appended, likewise reused.
+    record: Vec<u8>,
 }
 
 impl DiskShelf {
@@ -572,11 +728,7 @@ impl DiskShelf {
     /// create and rename are removed here.
     pub fn open(dir: &Path, fsync: bool) -> io::Result<Self> {
         let media = DirMedia::open(dir, fsync)?;
-        let mut shelf = Self {
-            media: Box::new(media),
-            dir: dir.to_path_buf(),
-            log: LogCursor::default(),
-        };
+        let mut shelf = Self::with_dir(Box::new(media), dir.to_path_buf());
         shelf.sweep_tmps().map_err(io::Error::from)?;
         Ok(shelf)
     }
@@ -584,14 +736,20 @@ impl DiskShelf {
     /// Shelve onto an arbitrary medium (in-memory default, fault
     /// injection). Sidecar paths resolve against the current directory.
     pub fn with_media(media: Box<dyn Media>) -> Self {
-        let mut shelf = Self {
-            media,
-            dir: PathBuf::new(),
-            log: LogCursor::default(),
-        };
+        let mut shelf = Self::with_dir(media, PathBuf::new());
         // Media errors here surface on the first save/load instead.
         let _ = shelf.sweep_tmps();
         shelf
+    }
+
+    fn with_dir(media: Box<dyn Media>, dir: PathBuf) -> Self {
+        Self {
+            media,
+            dir,
+            log: LogCursor::default(),
+            image: Vec::new(),
+            record: Vec::new(),
+        }
     }
 
     /// Remove stale `*.tmp` files (a save that died between create and
@@ -626,10 +784,17 @@ impl DiskShelf {
     /// save; the caller must not acknowledge the writes it covers (see
     /// [`save_with_healing`]).
     pub fn save(&mut self, state: &ShelfState) -> Result<(), MediaError> {
+        state.encode_into(&mut self.image);
+        self.save_image(state.banks.len())
+    }
+
+    /// Save the encoded image of a `banks`-bank device as the checkpoint
+    /// ([`DiskShelf::save`]'s protocol). Every checkpoint lands through
+    /// here.
+    fn save_image(&mut self, banks: usize) -> Result<(), MediaError> {
         self.log.open = false;
-        let bytes = state.encode();
         for (slot, tmp) in SHELF_SLOTS.iter().zip(SHELF_TMPS) {
-            self.media.write(tmp, &bytes)?;
+            self.media.write(tmp, &self.image)?;
             self.media.sync()?;
             self.media.rename(tmp, slot)?;
         }
@@ -641,30 +806,33 @@ impl DiskShelf {
         self.log = LogCursor {
             open: true,
             bytes: 0,
-            budget: bytes.len() as u64,
-            stores: vec![None; state.banks.len()],
+            budget: self.image.len() as u64,
+            stores: vec![None; banks],
         };
         Ok(())
     }
 
-    /// Build the framed log record committing `sys` at `stamp`, draining
-    /// every bank's dirty set. `None` when the commit must be a
-    /// checkpoint instead: the log is closed, a bank was not tracking its
-    /// dirty slots yet (tracking starts now), or the log would reach the
-    /// checkpoint image's size.
+    /// Build, in `self.record`, the framed log record committing `sys` at
+    /// `stamp`, draining every bank's dirty set. Returns `false` when the
+    /// commit must be a checkpoint instead: the log is closed, a bank was
+    /// not tracking its dirty slots yet (tracking starts now), or the log
+    /// would reach the checkpoint image's size.
     fn delta_record(
         &mut self,
         sys: &mut MultiBankSystem<ServerScheme>,
         stamp: CommitStamp,
-    ) -> Option<Vec<u8>> {
+    ) -> bool {
         let mut ok = self.log.open && self.log.stores.len() == sys.bank_count();
         let now = sys.now_ns();
-        let mut enc = Enc::new();
-        enc.u64(stamp.save_seq);
-        enc.u64((now >> 64) as u64);
-        enc.u64(now as u64);
-        enc.u64(stamp.acked_writes);
-        enc.u32(sys.bank_count() as u32);
+        self.record.clear();
+        let mut enc = Enc::from_vec(std::mem::take(&mut self.record));
+        // Room for the frame header, filled in once the length is known.
+        enc.u64(0);
+        enc.varint(stamp.save_seq);
+        enc.varint((now >> 64) as u64);
+        enc.varint(now as u64);
+        enc.varint(stamp.acked_writes);
+        enc.varint(sys.bank_count() as u64);
         for (b, mc) in sys.banks_mut().iter_mut().enumerate() {
             let Some(dirty) = mc.bank_mut().take_dirty() else {
                 mc.bank_mut().track_dirty();
@@ -674,42 +842,50 @@ impl DiskShelf {
             if !ok {
                 continue;
             }
-            enc.u32(dirty.len() as u32);
+            enc.varint(dirty.len() as u64);
             for slot in dirty {
-                enc.u64(slot);
-                encode_line_data(&mut enc, mc.bank().read_line(slot));
-                enc.u64(mc.bank().wear_of(slot));
+                enc.varint(slot);
+                encode_record_line(&mut enc, mc.bank().read_line(slot));
+                enc.varint(mc.bank().wear_of(slot));
             }
             let scheme = mc.scheme();
             let (store, ckpts) = (scheme.store(), scheme.checkpoints_installed());
-            match self.log.stores[b] {
-                Some((c, len)) if c == ckpts && len <= store.journal.len() => {
-                    enc.u8(0);
-                    enc.u64((store.journal.len() - len) as u64);
-                    enc.bytes(&store.journal[len..]);
+            match (self.log.stores[b], store.active_slot()) {
+                (Some((c, len)), _) if c == ckpts && len <= store.journal.len() => {
+                    enc.u8(STORE_SUFFIX);
+                    put_varint_len(&mut enc, &store.journal[len..]);
+                }
+                (Some((c, _)), Some(slot)) if c + 1 == ckpts => {
+                    enc.u8(STORE_SLOT);
+                    enc.u8(slot as u8);
+                    put_varint_len(&mut enc, &store.slots[slot]);
+                    put_varint_len(&mut enc, &store.marker);
+                    put_varint_len(&mut enc, &store.journal);
                 }
                 _ => {
-                    enc.u8(1);
+                    enc.u8(STORE_WHOLE);
                     BankShelf::encode_store(store, &mut enc);
                 }
             }
             self.log.stores[b] = Some((ckpts, store.journal.len()));
         }
-        let record = frame(enc.as_bytes());
-        (ok && self.log.bytes + (record.len() as u64) < self.log.budget).then_some(record)
+        self.record = enc.into_bytes();
+        seal_frame(&mut self.record);
+        ok && self.log.bytes + (self.record.len() as u64) < self.log.budget
     }
 
-    /// Append one framed record to both log copies, then the doubled
-    /// barrier. A failure closes the log until the next checkpoint.
-    fn append_record(&mut self, record: &[u8]) -> Result<(), MediaError> {
+    /// Append the framed record [`DiskShelf::delta_record`] built to both
+    /// log copies, then the doubled barrier. A failure closes the log until
+    /// the next checkpoint.
+    fn append_record(&mut self) -> Result<(), MediaError> {
         self.log.open = false;
         for log in SHELF_LOGS {
-            self.media.append(log, record)?;
+            self.media.append(log, &self.record)?;
         }
         self.media.sync()?;
         self.media.sync()?;
         self.log.open = true;
-        self.log.bytes += record.len() as u64;
+        self.log.bytes += self.record.len() as u64;
         Ok(())
     }
 
@@ -760,7 +936,7 @@ impl DiskShelf {
         let log = merge_logs(&copies).map_err(ShelfError::Decode)?;
         for (src, range) in log.payloads {
             let payload = &copies[src][range];
-            let seq = Dec::new(payload).u64().map_err(ShelfError::Decode)?;
+            let seq = Dec::new(payload).varint().map_err(ShelfError::Decode)?;
             if seq <= state.save_seq {
                 continue;
             }
@@ -873,10 +1049,21 @@ pub fn save_with_healing(
     state: &ShelfState,
     policy: &RetryPolicy,
 ) -> SaveOutcome {
+    state.encode_into(&mut shelf.image);
+    save_image_with_healing(shelf, state.banks.len(), policy)
+}
+
+/// [`save_with_healing`] of the image already encoded in the shelf's
+/// buffer: the one retry loop every checkpoint goes through.
+fn save_image_with_healing(
+    shelf: &mut DiskShelf,
+    banks: usize,
+    policy: &RetryPolicy,
+) -> SaveOutcome {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match shelf.save(state) {
+        match shelf.save_image(banks) {
             Ok(()) => return SaveOutcome::Saved { attempts },
             Err(e) if e.is_no_space() => return SaveOutcome::ReadOnly(e),
             Err(e) if e.is_transient() && attempts < policy.max_attempts => {
@@ -890,17 +1077,18 @@ pub fn save_with_healing(
 }
 
 /// Checkpoint a serving device with self-healing ([`save_with_healing`]
-/// over its [`ShelfState::capture`]) and, once it lands, start the delta
-/// log from it: every bank tracks its dirty slots from here on. Boot, the
-/// drain finale and [`commit_with_healing`]'s fallback all checkpoint
-/// through here.
+/// of its image, encoded straight from the banks) and, once it lands,
+/// start the delta log from it: every bank tracks its dirty slots from
+/// here on. Boot, the drain finale and [`commit_with_healing`]'s fallback
+/// all checkpoint through here.
 pub fn checkpoint_with_healing(
     shelf: &mut DiskShelf,
     sys: &mut MultiBankSystem<ServerScheme>,
     stamp: CommitStamp,
     policy: &RetryPolicy,
 ) -> SaveOutcome {
-    let outcome = save_with_healing(shelf, &ShelfState::capture(sys, stamp), policy);
+    encode_live_image(&mut shelf.image, sys, stamp);
+    let outcome = save_image_with_healing(shelf, sys.bank_count(), policy);
     if let SaveOutcome::Saved { .. } = outcome {
         shelf.arm_log(sys);
     }
@@ -924,8 +1112,8 @@ pub fn commit_with_healing(
     policy: &RetryPolicy,
 ) -> SaveOutcome {
     let mut failed_appends = 0;
-    if let Some(record) = shelf.delta_record(sys, stamp) {
-        match shelf.append_record(&record) {
+    if shelf.delta_record(sys, stamp) {
+        match shelf.append_record() {
             Ok(()) => return SaveOutcome::Saved { attempts: 1 },
             Err(_) => failed_appends = 1,
         }
@@ -1248,6 +1436,195 @@ mod tests {
             Err(MediaError::SyncFailed),
             "a save whose barrier failed must not report success"
         );
+    }
+
+    const NO_SLEEP: RetryPolicy = RetryPolicy {
+        max_attempts: 4,
+        base_backoff: Duration::ZERO,
+        sleep: false,
+    };
+
+    /// A serving device of `banks` journaled Security RBSG banks of
+    /// `2^width` lines, each checkpointing its journal every 8 steps.
+    fn device(banks: u64, width: u32) -> MultiBankSystem<ServerScheme> {
+        use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
+        use srbsg_persist::{CheckpointPolicy, Journaled};
+        let banks = (0..banks)
+            .map(|b| {
+                let mut c = SecurityRbsgConfig::small(width, 2);
+                c.seed = 0x5EED ^ b;
+                srbsg_pcm::MemoryController::new(
+                    Journaled::with_policy(SecurityRbsg::new(c), CheckpointPolicy::every_steps(8)),
+                    u64::MAX,
+                    TimingModel::PAPER,
+                )
+            })
+            .collect();
+        MultiBankSystem::from_controllers(banks)
+    }
+
+    /// The payload of the record [`DiskShelf::delta_record`] last built.
+    fn record_payload(shelf: &DiskShelf) -> &[u8] {
+        &shelf.record[8..shelf.record.len() - 8]
+    }
+
+    #[test]
+    fn a_record_folds_into_the_image_it_continues_and_every_cut_is_typed() {
+        let (mut shelf, _handle) = mem_shelf();
+        let mut sys = device(2, 8);
+        let mut stamp = CommitStamp {
+            save_seq: 1,
+            ..CommitStamp::default()
+        };
+        let boot = checkpoint_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
+        assert_eq!(boot, SaveOutcome::Saved { attempts: 1 });
+        let mut image = ShelfState::capture(&sys, stamp);
+        let mut s = 0x1234u64;
+        for _ in 0..20 {
+            for _ in 0..8 {
+                s = srbsg_workloads::splitmix64(s);
+                let data = match s % 3 {
+                    0 => LineData::Zeros,
+                    1 => LineData::Ones,
+                    _ => LineData::Mixed((s >> 32) as u32),
+                };
+                sys.try_write((s >> 8) % sys.logical_lines(), data).unwrap();
+            }
+            stamp.save_seq += 1;
+            stamp.acked_writes += 8;
+            shelf.delta_record(&mut sys, stamp);
+            let payload = record_payload(&shelf);
+            for cut in 0..payload.len() {
+                match image.clone().apply_record(&payload[..cut]) {
+                    Err(PersistError::Truncated | PersistError::Corrupt(_)) => {}
+                    other => panic!("cut {cut} of {}: {other:?}", payload.len()),
+                }
+            }
+            image.apply_record(payload).unwrap();
+            assert_eq!(image, ShelfState::capture(&sys, stamp));
+        }
+    }
+
+    #[test]
+    fn a_malformed_record_is_a_typed_corruption_never_a_panic() {
+        let state = sample_state();
+        assert_eq!(state.banks[0].slots, 16);
+        let header = || {
+            let mut enc = Enc::new();
+            for field in [state.save_seq + 1, 0, 0, 0, 1] {
+                enc.varint(field);
+            }
+            enc
+        };
+        let cases: [(&str, &[u8]); 6] = [
+            ("overlong dirty count", &[0x80, 0x00]),
+            ("slot out of range", &[1, 16, 0, 0, 0]),
+            ("unknown line kind", &[1, 3, 7, 0, 0]),
+            ("snapshot slot out of range", &[0, STORE_SLOT, 2, 0, 0, 0]),
+            ("unknown store tag", &[0, 9]),
+            (
+                "overlong suffix length",
+                &[0, STORE_SUFFIX, 0x81, 0x80, 0x00],
+            ),
+        ];
+        for (what, bank) in cases {
+            let mut enc = header();
+            enc.bytes(bank);
+            match state.clone().apply_record(enc.as_bytes()) {
+                Err(PersistError::Corrupt(_)) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_journal_checkpoint_logs_its_slot_and_two_log_the_whole_store() {
+        let (mut shelf, handle) = mem_shelf();
+        let mut sys = device(2, 6);
+        let mut stamp = CommitStamp {
+            save_seq: 1,
+            ..CommitStamp::default()
+        };
+        let boot = checkpoint_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
+        assert_eq!(boot, SaveOutcome::Saved { attempts: 1 });
+        // (journal checkpoints on bank 0 before the commit, its store tag)
+        for (ckpts, tag) in [
+            (1, STORE_SLOT),
+            (0, STORE_SUFFIX),
+            (2, STORE_WHOLE),
+            (1, STORE_SLOT),
+        ] {
+            for _ in 0..ckpts {
+                sys.bank_mut(0).scheme_mut().checkpoint().unwrap();
+            }
+            stamp.save_seq += 1;
+            let outcome = commit_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
+            assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 });
+            // No slot is dirty: the header's five varints, then bank 0's
+            // empty dirty count and its store tag, then bank 1 with no
+            // change.
+            let payload = record_payload(&shelf);
+            let mut dec = Dec::new(payload);
+            for _ in 0..5 {
+                dec.varint().unwrap();
+            }
+            let at = payload.len() - dec.remaining();
+            assert_eq!(&payload[at..at + 2], &[0, tag], "{ckpts} checkpoints");
+            assert_eq!(&payload[payload.len() - 3..], &[0, STORE_SUFFIX, 0]);
+            let (back, _) = DiskShelf::with_media(Box::new(handle.clone()))
+                .load()
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                back,
+                ShelfState::capture(&sys, stamp),
+                "{ckpts} checkpoints"
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_refused_as_unsupported() {
+        let (mut shelf, handle) = mem_shelf();
+        let mut old = sample_state().encode();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let body = old.len() - 8;
+        let crc = crc64(&old[..body]);
+        old[body..].copy_from_slice(&crc.to_le_bytes());
+        handle.with(|m| {
+            for slot in SHELF_SLOTS {
+                m.write(slot, &old).unwrap();
+            }
+            m.sync().unwrap();
+        });
+        assert_eq!(
+            shelf.load(),
+            Err(ShelfError::Decode(PersistError::Corrupt(
+                "unsupported shelf version"
+            )))
+        );
+    }
+
+    #[test]
+    fn the_image_encodes_lines_as_the_journal_codec_does() {
+        let state = sample_state();
+        let bytes = state.encode();
+        let bank = &state.banks[0];
+        let store: usize = BankShelf::store_parts(&bank.store)
+            .iter()
+            .map(|p| 8 + p.len())
+            .sum();
+        let lines = IMAGE_HEADER_BYTES + store + 8;
+        for (slot, &d) in bank.data.iter().enumerate() {
+            let mut enc = Enc::new();
+            srbsg_persist::encode_line_data(&mut enc, d);
+            let at = lines + slot * LINE_DATA_BYTES;
+            assert_eq!(
+                &bytes[at..at + LINE_DATA_BYTES],
+                enc.as_bytes(),
+                "slot {slot}"
+            );
+        }
     }
 
     #[test]
