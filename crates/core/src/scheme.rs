@@ -157,9 +157,9 @@ impl SecurityRbsg {
     /// The metadata transition of one outer DFN movement plus the physical
     /// copy it implies (journal payload 0). Shared by the live path, journal
     /// replay, and recovery rekeying so they can never diverge.
-    fn outer_step(&mut self) -> Vec<PhysOp> {
+    fn outer_step(&mut self) -> [PhysOp; 1] {
         let DfnMove { src, dst } = self.dfn.advance();
-        vec![PhysOp::Move {
+        [PhysOp::Move {
             src: self.resolve(src),
             dst: self.resolve(dst),
         }]
@@ -167,10 +167,10 @@ impl SecurityRbsg {
 
     /// One inner Start-Gap movement in sub-region `r` (journal payload
     /// `1 + r`).
-    fn inner_step(&mut self, r: usize) -> Vec<PhysOp> {
+    fn inner_step(&mut self, r: usize) -> [PhysOp; 1] {
         let base = self.region_base(r as u64);
         let mv = self.inner[r].advance();
-        vec![PhysOp::Move {
+        [PhysOp::Move {
             src: base + mv.src,
             dst: base + mv.dst,
         }]
@@ -344,7 +344,7 @@ impl JournaledScheme for SecurityRbsg {
         match u32::from_le_bytes(raw) {
             0 => {
                 self.outer_counter = 0;
-                Ok(self.outer_step())
+                Ok(self.outer_step().to_vec())
             }
             k => {
                 let r = (k - 1) as usize;
@@ -352,7 +352,7 @@ impl JournaledScheme for SecurityRbsg {
                     return Err(PersistError::Corrupt("security-rbsg step region"));
                 }
                 self.inner_counters[r] = 0;
-                Ok(self.inner_step(r))
+                Ok(self.inner_step(r).to_vec())
             }
         }
     }

@@ -39,7 +39,7 @@ pub struct PcmBank {
     sram_slot: Option<LineAddr>,
     /// Fault-injection machinery; `None` for the ideal (seed) device.
     faults: Option<FaultState>,
-    /// Slots touched since the last [`PcmBank::take_dirty`]; `None` unless
+    /// Slots touched since the last [`PcmBank::drain_dirty`]; `None` unless
     /// [`PcmBank::track_dirty`] turned tracking on.
     dirty: Option<Box<DirtySlots>>,
 }
@@ -71,11 +71,14 @@ impl DirtySlots {
         }
     }
 
-    fn take(&mut self) -> Vec<LineAddr> {
+    /// Move the set's slots onto the end of `out` and empty the set,
+    /// keeping both buffers' capacity.
+    fn drain_into(&mut self, out: &mut Vec<LineAddr>) {
         for &slot in &self.list {
             self.bits[(slot / 64) as usize] &= !(1u64 << (slot % 64));
         }
-        std::mem::take(&mut self.list)
+        out.extend_from_slice(&self.list);
+        self.list.clear();
     }
 }
 
@@ -198,11 +201,20 @@ impl PcmBank {
         self.dirty = Some(Box::new(DirtySlots::new(self.base_slots)));
     }
 
-    /// The slots touched since tracking started or since the previous
-    /// call, in first-touch order, each once; recording continues with an
-    /// empty set. `None` when tracking is off.
-    pub fn take_dirty(&mut self) -> Option<Vec<LineAddr>> {
-        self.dirty.as_mut().map(|d| d.take())
+    /// Replace `out`'s contents with the slots touched since tracking
+    /// started or since the previous drain, in first-touch order, each
+    /// once; recording continues with an empty set. Returns `false`, with
+    /// `out` left empty, when tracking is off. The caller's buffer and the
+    /// set keep their capacity, so a steady drain allocates nothing.
+    pub fn drain_dirty(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        out.clear();
+        match &mut self.dirty {
+            Some(d) => {
+                d.drain_into(out);
+                true
+            }
+            None => false,
+        }
     }
 
     #[inline]
@@ -807,8 +819,10 @@ mod tests {
     #[test]
     fn dirty_tracking_records_each_touched_slot_once() {
         let mut b = bank(130, 1_000);
+        let mut out = vec![5];
         b.write_line(1, LineData::Ones);
-        assert_eq!(b.take_dirty(), None, "tracking is off by default");
+        assert!(!b.drain_dirty(&mut out), "tracking is off by default");
+        assert!(out.is_empty());
         b.track_dirty();
         b.write_line(129, LineData::Ones);
         b.write_line_bulk(64, LineData::Mixed(3), 5);
@@ -816,9 +830,12 @@ mod tests {
         b.write_line(129, LineData::Zeros);
         b.swap_lines(0, 64);
         b.write_line_bulk(100, LineData::Ones, 0);
-        assert_eq!(b.take_dirty(), Some(vec![129, 64, 7, 0]));
-        assert_eq!(b.take_dirty(), Some(vec![]), "taking clears the set");
+        assert!(b.drain_dirty(&mut out));
+        assert_eq!(out, [129, 64, 7, 0]);
+        assert!(b.drain_dirty(&mut out));
+        assert!(out.is_empty(), "draining clears the set");
         b.write_line(64, LineData::Ones);
-        assert_eq!(b.take_dirty(), Some(vec![64]));
+        assert!(b.drain_dirty(&mut out));
+        assert_eq!(out, [64]);
     }
 }

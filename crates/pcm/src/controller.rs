@@ -135,7 +135,7 @@ impl<W: WearLeveler> MemoryController<W> {
     }
 
     /// The underlying bank, mutably — for bookkeeping that leaves the
-    /// bank's contents alone, such as [`PcmBank::take_dirty`]. Writing
+    /// bank's contents alone, such as [`PcmBank::drain_dirty`]. Writing
     /// through it bypasses the wear-leveling scheme.
     pub fn bank_mut(&mut self) -> &mut PcmBank {
         &mut self.bank

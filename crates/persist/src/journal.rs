@@ -195,19 +195,9 @@ impl Record {
     fn encode_body(&self, enc: &mut Enc) {
         match self {
             Record::Step { seq, payload, ops } => {
-                enc.u64(*seq);
-                enc.u8(KIND_STEP);
-                enc.u32(payload.len() as u32);
-                enc.bytes(payload);
-                enc.u32(ops.len() as u32);
-                for op in ops {
-                    op.encode(enc);
-                }
+                encode_step_body(enc, *seq, payload, ops.iter().copied());
             }
-            Record::Commit { seq } => {
-                enc.u64(*seq);
-                enc.u8(KIND_COMMIT);
-            }
+            Record::Commit { seq } => encode_commit_body(enc, *seq),
             Record::Reseed { seq, seed } => {
                 enc.u64(*seq);
                 enc.u8(KIND_RESEED);
@@ -242,18 +232,78 @@ impl Record {
     }
 }
 
+fn encode_step_body(
+    enc: &mut Enc,
+    seq: u64,
+    payload: &[u8],
+    ops: impl ExactSizeIterator<Item = LoggedOp>,
+) {
+    enc.u64(seq);
+    enc.u8(KIND_STEP);
+    enc.u32(payload.len() as u32);
+    enc.bytes(payload);
+    enc.u32(ops.len() as u32);
+    for op in ops {
+        op.encode(enc);
+    }
+}
+
+fn encode_commit_body(enc: &mut Enc, seq: u64) {
+    enc.u64(seq);
+    enc.u8(KIND_COMMIT);
+}
+
+/// Append one framed record to `journal` in place: a length placeholder,
+/// the body `body` writes, then the length and the body's CRC filled in.
+/// Returns the framed record's length. Every journal record is framed
+/// here, so a record appended in place and one built by
+/// [`encode_record`] are the same bytes.
+fn append_framed(journal: &mut Vec<u8>, body: impl FnOnce(&mut Enc)) -> usize {
+    let start = journal.len();
+    let mut enc = Enc::from_vec(std::mem::take(journal));
+    enc.u32(0);
+    body(&mut enc);
+    *journal = enc.into_bytes();
+    let len = journal.len() - start - 4;
+    journal[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc64(&journal[start + 4..]);
+    journal.extend_from_slice(&crc.to_le_bytes());
+    journal.len() - start
+}
+
+/// Append the framed `Step` record of `ops` to `journal`, reading each
+/// operation's before-images straight from `bank` (the step is about to
+/// be applied, so the bank still holds them). Byte-identical to
+/// [`encode_record`] of the [`Record::Step`] with those [`LoggedOp`]s,
+/// without building it. Returns the framed record's length.
+pub(crate) fn append_step(
+    journal: &mut Vec<u8>,
+    seq: u64,
+    payload: &[u8],
+    ops: &[PhysOp],
+    bank: &PcmBank,
+) -> usize {
+    append_framed(journal, |enc| {
+        encode_step_body(
+            enc,
+            seq,
+            payload,
+            ops.iter().map(|op| LoggedOp::capture(op, bank)),
+        )
+    })
+}
+
+/// Append the framed [`Record::Commit`] marker `seq` to `journal`.
+/// Returns the framed record's length.
+pub(crate) fn append_commit(journal: &mut Vec<u8>, seq: u64) -> usize {
+    append_framed(journal, |enc| encode_commit_body(enc, seq))
+}
+
 /// Frame a record for appending to the journal.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut body = Enc::new();
-    rec.encode_body(&mut body);
-    let body = body.into_bytes();
-
-    let mut enc = Enc::new();
-    enc.u32(body.len() as u32);
-    let crc = crc64(&body);
-    enc.bytes(&body);
-    enc.u64(crc);
-    enc.into_bytes()
+    let mut out = Vec::new();
+    append_framed(&mut out, |enc| rec.encode_body(enc));
+    out
 }
 
 /// Result of scanning a journal byte string.
@@ -334,6 +384,19 @@ mod tests {
             Record::Commit { seq: 6 },
             Record::Reseed { seq: 7, seed: 1234 },
         ]
+    }
+
+    #[test]
+    fn every_record_kind_frames_as_len_body_crc() {
+        for rec in sample_records() {
+            let mut body = Enc::new();
+            rec.encode_body(&mut body);
+            let body = body.into_bytes();
+            let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(&body);
+            framed.extend_from_slice(&crc64(&body).to_le_bytes());
+            assert_eq!(encode_record(&rec), framed, "{rec:?}");
+        }
     }
 
     #[test]

@@ -271,8 +271,7 @@ impl<W: JournaledScheme> Journaled<W> {
     /// holds exactly what the failure left and recovery falls back to the
     /// surviving slot plus the full journal.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        let snapshot = encode_snapshot(&self.scheme, self.persistor.next_seq());
-        self.persistor.install_checkpoint(snapshot)?;
+        self.persistor.install_checkpoint(&self.scheme)?;
         self.steps_at_checkpoint = self.persistor.steps_logged();
         Ok(())
     }

@@ -27,7 +27,8 @@
 //! holds exactly the bytes and the bank exactly the lines that survived.
 
 use crate::codec::{crc64, Dec, Enc, PersistError};
-use crate::journal::{encode_record, LoggedOp, Record};
+use crate::journal::{append_commit, append_step, encode_record, Record};
+use crate::state::{encode_snapshot_into, MetadataState};
 use srbsg_pcm::{ApplySink, Ns, PcmBank, PhysOp, StepSink};
 
 /// Where in the step or checkpoint protocol the injected power failure
@@ -139,13 +140,22 @@ pub const MARKER_MAGIC: u32 = 0x5352_4D4B;
 /// a power failure — recovery treats an undecodable marker as absent and
 /// falls back to slot inspection.
 pub fn encode_marker(slot: u8, seq: u64) -> Vec<u8> {
-    let mut enc = Enc::new();
+    let mut out = Vec::new();
+    encode_marker_into(slot, seq, &mut out);
+    out
+}
+
+/// [`encode_marker`] into `out`, replacing its contents but keeping its
+/// capacity.
+fn encode_marker_into(slot: u8, seq: u64, out: &mut Vec<u8>) {
+    out.clear();
+    let mut enc = Enc::from_vec(std::mem::take(out));
     enc.u32(MARKER_MAGIC);
     enc.u8(slot);
     enc.u64(seq);
     let crc = crc64(enc.as_bytes());
     enc.u64(crc);
-    enc.into_bytes()
+    *out = enc.into_bytes();
 }
 
 /// Decode the active-slot marker, returning `(slot, seq)`. A torn or
@@ -337,47 +347,48 @@ impl Persistor {
         self.journal_bytes_written += bytes.len() as u64;
     }
 
-    /// Install a checkpoint via the crash-safe dual-slot protocol:
-    /// write `snapshot` (already encoded at sequence
-    /// [`Persistor::next_seq`]) to the inactive slot, flip the active
-    /// marker, then truncate the journal.
+    /// Install a checkpoint of `state` via the crash-safe dual-slot
+    /// protocol: write its snapshot at sequence [`Persistor::next_seq`] to
+    /// the inactive slot, flip the active marker, then truncate the
+    /// journal. The snapshot is encoded once, straight into the slot it
+    /// lands in, reusing that slot's buffer.
     ///
     /// Returns [`PersistError::PowerLost`] — with the store holding exactly
     /// what the failure left — when power is already off or an armed
     /// checkpoint-phase [`CrashPlan`] fires during the installation. A
     /// checkpoint racing a power cut is an injectable outcome, not a
     /// panic.
-    pub fn install_checkpoint(&mut self, snapshot: Vec<u8>) -> Result<(), PersistError> {
+    pub fn install_checkpoint<S: MetadataState>(&mut self, state: &S) -> Result<(), PersistError> {
         if !self.powered {
             return Err(PersistError::PowerLost);
         }
         let target = 1 - self.active;
-        match self.crash_at_checkpoint() {
+        let crash = self.crash_at_checkpoint();
+        let slot = &mut self.store.slots[target];
+        encode_snapshot_into(state, self.next_seq, slot);
+        let len = slot.len();
+        match crash {
             Some(CrashMode::CheckpointTornSnapshot) => {
-                let keep = (snapshot.len() / 2).max(1);
-                self.store.slots[target] = snapshot[..keep].to_vec();
+                slot.truncate((len / 2).max(1));
                 self.powered = false;
                 return Err(PersistError::PowerLost);
             }
             Some(CrashMode::CheckpointTornMarker) => {
-                self.store.slots[target] = snapshot;
-                let marker = encode_marker(target as u8, self.next_seq);
-                let keep = (marker.len() / 2).max(1);
-                self.store.marker = marker[..keep].to_vec();
+                let marker = &mut self.store.marker;
+                encode_marker_into(target as u8, self.next_seq, marker);
+                marker.truncate((marker.len() / 2).max(1));
                 self.powered = false;
                 return Err(PersistError::PowerLost);
             }
             Some(CrashMode::CheckpointNotTruncated) => {
-                self.store.slots[target] = snapshot;
-                self.store.marker = encode_marker(target as u8, self.next_seq);
+                encode_marker_into(target as u8, self.next_seq, &mut self.store.marker);
                 self.powered = false;
                 return Err(PersistError::PowerLost);
             }
             _ => {}
         }
-        self.checkpoint_bytes += snapshot.len() as u64;
-        self.store.slots[target] = snapshot;
-        self.store.marker = encode_marker(target as u8, self.next_seq);
+        self.checkpoint_bytes += len as u64;
+        encode_marker_into(target as u8, self.next_seq, &mut self.store.marker);
         self.active = target;
         self.store.journal.clear();
         self.checkpoints += 1;
@@ -434,39 +445,35 @@ impl StepSink for Persistor {
         }
         self.steps += 1;
 
-        let logged: Vec<LoggedOp> = ops.iter().map(|op| LoggedOp::capture(op, bank)).collect();
-        let rec = Record::Step {
-            seq: self.next_seq,
-            payload: payload.to_vec(),
-            ops: logged.clone(),
-        };
-        let encoded = encode_record(&rec);
+        // The record is framed in place at the journal's end, before-images
+        // read straight from the bank; a crash acts on the bytes just
+        // appended.
+        let start = self.store.journal.len();
+        let len = append_step(&mut self.store.journal, self.next_seq, payload, ops, bank);
+        self.journal_bytes_written += len as u64;
 
         match self.crash_here() {
             Some(CrashMode::TornRecord) => {
-                let keep = (encoded.len() / 2).max(1);
-                let torn = encoded[..keep].to_vec();
-                self.append_journal(&torn);
+                let keep = (len / 2).max(1);
+                self.store.journal.truncate(start + keep);
+                self.journal_bytes_written -= (len - keep) as u64;
                 self.powered = false;
                 return 0;
             }
             Some(CrashMode::RecordedNotApplied) => {
-                self.append_journal(&encoded);
                 self.next_seq += 1;
                 self.powered = false;
                 return 0;
             }
             Some(CrashMode::HalfApplied) => {
-                self.append_journal(&encoded);
                 self.next_seq += 1;
-                if let Some(&LoggedOp::Swap { a, b_data, .. }) = logged.first() {
-                    bank.write_line(a, b_data);
+                if let Some(&PhysOp::Swap { a, b }) = ops.first() {
+                    bank.write_line(a, bank.read_line(b));
                 }
                 self.powered = false;
                 return 0;
             }
             Some(CrashMode::AppliedNoMarker) => {
-                self.append_journal(&encoded);
                 self.next_seq += 1;
                 ApplySink.commit(bank, payload, ops);
                 self.powered = false;
@@ -479,13 +486,11 @@ impl StepSink for Persistor {
         }
 
         // The normal, crash-free protocol.
-        self.append_journal(&encoded);
         self.next_seq += 1;
         let latency = ApplySink.commit(bank, payload, ops);
-        let marker = Record::Commit { seq: self.next_seq };
+        let len = append_commit(&mut self.store.journal, self.next_seq);
+        self.journal_bytes_written += len as u64;
         self.next_seq += 1;
-        let encoded = encode_record(&marker);
-        self.append_journal(&encoded);
         latency
     }
 }
@@ -493,6 +498,10 @@ impl StepSink for Persistor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::LoggedOp;
+    use crate::state::encode_snapshot;
+    use srbsg_feistel::IdentityPermutation;
+    use srbsg_pcm::LineData;
 
     #[test]
     fn marker_roundtrip_and_every_bit_flip_rejected() {
@@ -519,7 +528,7 @@ mod tests {
         p.power_cut();
         let before = p.store().clone();
         assert_eq!(
-            p.install_checkpoint(vec![9, 9, 9]),
+            p.install_checkpoint(&IdentityPermutation::new(9)),
             Err(PersistError::PowerLost)
         );
         assert_eq!(p.store(), &before, "a dead checkpoint must be a no-op");
@@ -527,18 +536,143 @@ mod tests {
 
     #[test]
     fn completed_checkpoint_alternates_slots_and_truncates() {
+        let (two, three) = (IdentityPermutation::new(2), IdentityPermutation::new(3));
         let mut p = Persistor::new(Store::with_snapshot(vec![1], 0), 0);
         p.append_reseed(0);
         assert!(!p.store().journal.is_empty());
-        p.install_checkpoint(vec![2]).unwrap();
+        p.install_checkpoint(&two).unwrap();
         assert_eq!(p.store().active_slot(), Some(1));
-        assert_eq!(p.store().slots[1], vec![2]);
+        assert_eq!(p.store().slots[1], encode_snapshot(&two, 1));
         assert_eq!(p.store().slots[0], vec![1], "old slot survives");
         assert!(p.store().journal.is_empty());
-        p.install_checkpoint(vec![3]).unwrap();
+        p.install_checkpoint(&three).unwrap();
         assert_eq!(p.store().active_slot(), Some(0));
-        assert_eq!(p.store().slots[0], vec![3]);
+        assert_eq!(p.store().slots[0], encode_snapshot(&three, 1));
         assert_eq!(p.checkpoints_installed(), 2);
-        assert_eq!(p.checkpoint_bytes_written(), 2);
+        let snapshot = encode_snapshot(&two, 1).len() as u64;
+        assert_eq!(p.checkpoint_bytes_written(), 2 * snapshot);
+    }
+
+    /// A store after `steps` journaled steps, two of them swaps, with a
+    /// crash plan of `mode` at the last one, against the records the
+    /// steps encode to as [`Record`] values.
+    fn crash_run(mode: CrashMode) -> (Store, Vec<u8>, PcmBank) {
+        let mut bank = PcmBank::new(8, 1_000, srbsg_pcm::TimingModel::PAPER);
+        for slot in 0..8 {
+            bank.write_line(slot, LineData::Mixed(slot as u32 + 1));
+        }
+        bank.write_line(6, LineData::Ones);
+        let steps: [(&[u8], &[PhysOp]); 3] = [
+            (&[0, 0, 0, 0], &[PhysOp::Move { src: 1, dst: 7 }]),
+            (&[2, 0, 0, 0], &[]),
+            (
+                &[9],
+                &[PhysOp::Swap { a: 2, b: 6 }, PhysOp::Move { src: 3, dst: 0 }],
+            ),
+        ];
+        let mut p = Persistor::new(Store::with_snapshot(vec![1], 4), 4);
+        p.set_plan(CrashPlan {
+            at_step: steps.len() as u64,
+            mode,
+        });
+        let mut expect = Vec::new();
+        let mut seq = 4;
+        for (payload, ops) in steps {
+            let rec = Record::Step {
+                seq,
+                payload: payload.to_vec(),
+                ops: ops.iter().map(|op| LoggedOp::capture(op, &bank)).collect(),
+            };
+            expect.extend_from_slice(&encode_record(&rec));
+            expect.extend_from_slice(&encode_record(&Record::Commit { seq: seq + 1 }));
+            seq += 2;
+            p.commit(&mut bank, payload, ops);
+        }
+        assert_eq!(p.journal_bytes_written(), p.store().journal.len() as u64);
+        (p.into_store(), expect, bank)
+    }
+
+    #[test]
+    fn in_place_records_match_encode_record_at_every_crash_point() {
+        let (store, expect, _) = crash_run(CrashMode::AfterCommit { extra_writes: 1 });
+        assert_eq!(store.journal, expect, "clean run");
+        let commit_len = encode_record(&Record::Commit { seq: 0 }).len();
+        let step_end = expect.len() - commit_len;
+        let last_step = &expect[..step_end];
+        let step_start = parse_prefix_len(last_step);
+        let step_len = step_end - step_start;
+        for mode in [
+            CrashMode::RecordedNotApplied,
+            CrashMode::HalfApplied,
+            CrashMode::AppliedNoMarker,
+        ] {
+            let (store, _, _) = crash_run(mode);
+            assert_eq!(store.journal, last_step, "{}", mode.name());
+        }
+        let (store, _, _) = crash_run(CrashMode::TornRecord);
+        assert_eq!(
+            store.journal,
+            &expect[..step_start + step_len / 2],
+            "torn record keeps the prefix half of its bytes"
+        );
+        let (_, _, bank) = crash_run(CrashMode::HalfApplied);
+        assert_eq!(bank.read_line(2), LineData::Ones, "first swap write landed");
+        assert_eq!(
+            bank.read_line(6),
+            LineData::Ones,
+            "second swap write did not"
+        );
+    }
+
+    /// Length of the complete records before the final one in `journal`.
+    fn parse_prefix_len(journal: &[u8]) -> usize {
+        let parsed = crate::journal::parse_journal(journal).unwrap();
+        let last = parsed.records.last().unwrap();
+        journal.len() - encode_record(last).len()
+    }
+
+    /// The snapshot layout built the long way: the payload in its own
+    /// buffer, then `magic | seq | len | payload` and the CRC over it.
+    fn reference_snapshot<S: MetadataState>(state: &S, seq: u64) -> Vec<u8> {
+        let mut payload = Enc::new();
+        state.encode_state(&mut payload);
+        let payload = payload.into_bytes();
+        let mut enc = Enc::new();
+        enc.u32(crate::state::SNAPSHOT_MAGIC);
+        enc.u64(seq);
+        enc.u32(payload.len() as u32);
+        enc.bytes(&payload);
+        let crc = crc64(enc.as_bytes());
+        enc.u64(crc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn in_place_snapshots_and_markers_match_at_every_checkpoint_phase() {
+        let state = IdentityPermutation::new(7);
+        let snapshot = reference_snapshot(&state, 3);
+        assert_eq!(encode_snapshot(&state, 3), snapshot);
+        let marker = encode_marker(1, 3);
+        let run = |mode: Option<CrashMode>| {
+            let mut p = Persistor::new(Store::with_snapshot(vec![1; 40], 3), 3);
+            if let Some(mode) = mode {
+                p.set_plan(CrashPlan { at_step: 0, mode });
+            }
+            let _ = p.install_checkpoint(&state);
+            p.into_store()
+        };
+        let clean = run(None);
+        assert_eq!((&clean.slots[1], &clean.marker), (&snapshot, &marker));
+        let torn = run(Some(CrashMode::CheckpointTornSnapshot));
+        assert_eq!(torn.slots[1], snapshot[..snapshot.len() / 2]);
+        assert_eq!(torn.marker, encode_marker(0, 3));
+        let torn = run(Some(CrashMode::CheckpointTornMarker));
+        assert_eq!(torn.slots[1], snapshot);
+        assert_eq!(torn.marker, marker[..marker.len() / 2]);
+        let untruncated = run(Some(CrashMode::CheckpointNotTruncated));
+        assert_eq!(
+            (&untruncated.slots[1], &untruncated.marker),
+            (&snapshot, &marker)
+        );
     }
 }

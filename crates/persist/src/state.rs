@@ -205,19 +205,30 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5352_534E;
 /// covers everything before it and `seq` is the journal sequence number the
 /// snapshot corresponds to (replay resumes from `seq`).
 pub fn encode_snapshot<S: MetadataState>(state: &S, seq: u64) -> Vec<u8> {
-    let mut payload = Enc::new();
-    state.encode_state(&mut payload);
-    let payload = payload.into_bytes();
+    let mut out = Vec::new();
+    encode_snapshot_into(state, seq, &mut out);
+    out
+}
 
-    let mut enc = Enc::new();
+/// [`encode_snapshot`] into `out`, replacing its contents but keeping its
+/// capacity: the state is encoded once, in place, and the payload length
+/// and CRC are filled in around it.
+pub(crate) fn encode_snapshot_into<S: MetadataState>(state: &S, seq: u64, out: &mut Vec<u8>) {
+    out.clear();
+    let mut enc = Enc::from_vec(std::mem::take(out));
     enc.u32(SNAPSHOT_MAGIC);
     enc.u64(seq);
-    enc.u32(payload.len() as u32);
-    enc.bytes(&payload);
-    let crc = crc64(enc.as_bytes());
-    enc.u64(crc);
-    enc.into_bytes()
+    enc.u32(0);
+    state.encode_state(&mut enc);
+    *out = enc.into_bytes();
+    let len = out.len() - SNAPSHOT_HEADER;
+    out[SNAPSHOT_HEADER - 4..SNAPSHOT_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc64(out);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
+
+/// Bytes before a snapshot's payload: magic, seq and payload length.
+const SNAPSHOT_HEADER: usize = 16;
 
 /// Validate and decode a snapshot, returning the state and its sequence
 /// number. Any bit flip anywhere in `bytes` yields an error, never a wrong

@@ -36,13 +36,26 @@ struct Queued {
     req: Request,
 }
 
+/// One bank's worker state: its quarantine flag, plus the queue and
+/// completion list a batch fills and drains. The lists are kept across
+/// batches, so a steady stream of batches reuses their capacity.
+#[derive(Debug, Default)]
+struct Lane {
+    quarantined: bool,
+    queue: Vec<Queued>,
+    done: Vec<Completion>,
+    /// The bank's quarantine event in the batch being drained; the merge
+    /// takes it.
+    event: Option<QuarantineEvent>,
+}
+
 /// The serving front-end. Owns the multi-bank system; all mutation goes
 /// through [`FrontEnd::submit_batch`].
 #[derive(Debug)]
 pub struct FrontEnd<W: WearLeveler> {
     system: MultiBankSystem<W>,
     cfg: ServeConfig,
-    quarantined: Vec<bool>,
+    lanes: Vec<Lane>,
     events: Vec<QuarantineEvent>,
     releases: Vec<QuarantineEvent>,
     stats: ServeStats,
@@ -57,7 +70,7 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
         Self {
             system,
             cfg: cfg.validated(),
-            quarantined: vec![false; banks],
+            lanes: (0..banks).map(|_| Lane::default()).collect(),
             events: Vec::new(),
             releases: Vec::new(),
             stats: ServeStats::default(),
@@ -94,7 +107,7 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
 
     /// Whether `bank` is currently quarantined.
     pub fn is_quarantined(&self, bank: usize) -> bool {
-        self.quarantined[bank]
+        self.lanes[bank].quarantined
     }
 
     /// Quarantine releases so far, in trigger order. Each records the bank,
@@ -127,12 +140,12 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
     pub fn replenish_spares(&mut self, bank: usize, extra: u64) {
         let mc = &mut self.system.banks_mut()[bank];
         mc.provision_spares(extra);
-        if !self.quarantined[bank] || self.cfg.quarantine_spare_frac <= 0.0 {
+        if !self.lanes[bank].quarantined || self.cfg.quarantine_spare_frac <= 0.0 {
             return;
         }
         let pressure = mc.degradation_report().spare_pressure();
         if pressure < self.cfg.quarantine_spare_frac {
-            self.quarantined[bank] = false;
+            self.lanes[bank].quarantined = false;
             self.releases.push(QuarantineEvent {
                 bank,
                 at_ns: mc.now_ns(),
@@ -157,9 +170,8 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
     /// completions, the internal counters, and the quarantine-event log
     /// are bit-for-bit identical for any `jobs >= 1`.
     pub fn submit_batch(&mut self, batch: Vec<Request>, jobs: usize) -> Vec<Completion> {
-        let (queues, completions) = self.admit(batch);
+        let completions = self.admit(batch);
         self.drain_merge(
-            queues,
             completions,
             jobs,
             |mc, addr, data| mc.write_verified(addr, data),
@@ -168,11 +180,11 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
     }
 
     /// Admission: route, then apply quarantine and queue-depth
-    /// backpressure before anything can touch device state.
-    fn admit(&mut self, batch: Vec<Request>) -> (Vec<Vec<Queued>>, Vec<Completion>) {
-        let nbanks = self.system.bank_count();
+    /// backpressure before anything can touch device state. Admitted
+    /// commands land in their bank's lane queue; the returned list holds
+    /// the rejections, with room for every completion of the batch.
+    fn admit(&mut self, batch: Vec<Request>) -> Vec<Completion> {
         let lines = self.system.logical_lines();
-        let mut queues: Vec<Vec<Queued>> = (0..nbanks).map(|_| Vec::new()).collect();
         let mut completions: Vec<Completion> = Vec::with_capacity(batch.len());
         for req in batch {
             let id = self.next_id;
@@ -195,14 +207,15 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
                 continue;
             }
             let (bank, addr) = self.system.route(req.la);
-            if self.quarantined[bank] && matches!(req.op, Op::Write(_)) {
+            let lane = &mut self.lanes[bank];
+            if lane.quarantined && matches!(req.op, Op::Write(_)) {
                 completions.push(Completion {
                     id,
                     result: Err(Rejected::BankQuarantined { bank }),
                 });
                 continue;
             }
-            if queues[bank].len() >= self.cfg.queue_depth {
+            if lane.queue.len() >= self.cfg.queue_depth {
                 completions.push(Completion {
                     id,
                     result: Err(Rejected::QueueFull {
@@ -212,57 +225,60 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
                 });
                 continue;
             }
-            queues[bank].push(Queued { id, addr, req });
+            lane.queue.push(Queued { id, addr, req });
         }
-        (queues, completions)
+        completions
     }
 
     /// Drain every bank queue on up to `jobs` workers and merge the
-    /// results. One worker per bank: a worker mutates only its own bank,
-    /// its own quarantine flag, and its own completion list, so the
-    /// fan-out is deterministic for any job count. Writes go through
-    /// `write`; a command whose bank reports `crashed` is rejected as a
-    /// [`PcmError::PowerLost`] fault without touching the device.
+    /// results. One worker per bank: a worker mutates only its own bank
+    /// and its own lane, so the fan-out is deterministic for any job
+    /// count. Writes go through `write`; a command whose bank reports
+    /// `crashed` is rejected as a [`PcmError::PowerLost`] fault without
+    /// touching the device.
     fn drain_merge(
         &mut self,
-        queues: Vec<Vec<Queued>>,
         mut completions: Vec<Completion>,
         jobs: usize,
         write: WriteFn<W>,
         crashed: CrashedFn<W>,
     ) -> Vec<Completion> {
         let cfg = self.cfg;
-        let items: Vec<(usize, &mut MemoryController<W>, bool, Vec<Queued>)> = self
-            .system
-            .banks_mut()
-            .iter_mut()
-            .zip(queues)
-            .enumerate()
-            .map(|(i, (mc, q))| (i, mc, self.quarantined[i], q))
-            .collect();
-        let drained = par_map(items, jobs, move |(bank, mc, mut quarantined, queue)| {
-            let mut done = Vec::with_capacity(queue.len());
-            let mut event = None;
-            for q in queue {
+        let drain = |(bank, (mc, lane)): (usize, (&mut MemoryController<W>, &mut Lane))| {
+            for q in lane.queue.drain(..) {
                 let result = if crashed(mc) {
                     Err(Rejected::Fault(PcmError::PowerLost))
                 } else {
-                    serve_one(&cfg, bank, mc, &mut quarantined, &mut event, &q, write)
+                    serve_one(
+                        &cfg,
+                        bank,
+                        mc,
+                        &mut lane.quarantined,
+                        &mut lane.event,
+                        &q,
+                        write,
+                    )
                 };
-                done.push(Completion { id: q.id, result });
+                lane.done.push(Completion { id: q.id, result });
             }
-            (bank, quarantined, event, done)
-        });
+        };
+        let lanes = self
+            .system
+            .banks_mut()
+            .iter_mut()
+            .zip(self.lanes.iter_mut())
+            .enumerate();
+        par_map(lanes.collect(), jobs, drain);
 
-        // Merge in bank order, then restore submission order.
-        for (bank, quarantined, event, done) in drained {
-            self.quarantined[bank] = quarantined;
-            if let Some(e) = event {
+        // Merge in bank order, then restore submission order (ids are
+        // unique, so the unstable sort is exact).
+        for lane in &mut self.lanes {
+            if let Some(e) = lane.event.take() {
                 self.events.push(e);
             }
-            completions.extend(done);
+            completions.append(&mut lane.done);
         }
-        completions.sort_by_key(|c| c.id);
+        completions.sort_unstable_by_key(|c| c.id);
         for c in &completions {
             self.stats.record(c);
         }
@@ -280,9 +296,8 @@ impl<S: JournaledScheme + Send> FrontEnd<Journaled<S>> {
     /// while the surviving banks drain normally. Determinism for any
     /// `jobs` count is unchanged: a crash is per-bank state.
     pub fn submit_batch_crashable(&mut self, batch: Vec<Request>, jobs: usize) -> Vec<Completion> {
-        let (queues, completions) = self.admit(batch);
+        let completions = self.admit(batch);
         self.drain_merge(
-            queues,
             completions,
             jobs,
             |mc, addr, data| write_verified_crashable(mc, addr, data),

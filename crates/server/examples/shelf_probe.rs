@@ -8,6 +8,15 @@
 //! medium's calls, CRC is one CRC-64 over an image-sized buffer, and
 //! encode is the rest of the checkpoint's wall time.
 //!
+//! Each round goes through the serving path: one `FrontEnd::submit_batch`
+//! of 8 writes, then `commit_with_healing`. Over the rounds whose commit
+//! was a log record, it also reports the mean microseconds of
+//! `submit_batch`, of building the record (the commit's wall time outside
+//! the medium) and of appending it (the medium's append and barrier
+//! calls), plus the checkpoints' wall time amortized over every round and
+//! the heap allocations of a log-record round (submit plus commit,
+//! counted by this binary's allocator).
+//!
 //! ```sh
 //! cargo run --release -p srbsg-server --example shelf_probe -- [DIR] [ACKS]
 //! ```
@@ -22,11 +31,29 @@ use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
 use srbsg_persist::{crc64, DirMedia, Media, MediaError};
+use srbsg_serve::{Op, Request};
 use srbsg_server::{
     boot, checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy,
     SaveOutcome, ServerConfig,
 };
 use srbsg_workloads::splitmix64;
+
+#[path = "../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{allocs, Counting};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Per-layer sums over the rounds whose commit was a log record.
+#[derive(Debug, Default)]
+struct Layers {
+    submit: Duration,
+    build: Duration,
+    append: Duration,
+    allocs: u64,
+}
 
 /// What the medium saw since the tally was last taken.
 #[derive(Debug, Default, Clone, Copy)]
@@ -137,19 +164,34 @@ fn main() -> std::io::Result<()> {
     let lines = fe.system().logical_lines();
     let (mut records, mut record_bytes) = (0u64, 0u64);
     let (mut checkpoints, mut image_bytes) = (Vec::new(), 0);
+    let mut layers = Layers::default();
     let mut s = 6u64;
     while stamp.acked_writes < acks {
-        for _ in 0..8 {
-            s = splitmix64(s);
-            fe.system_mut()
-                .try_write(s % lines, LineData::Mixed((s >> 40) as u32))
-                .expect("in-range write");
-        }
+        // Arrival 0 never idles a bank: the device sees exactly the
+        // writes a direct `try_write` of each address would make.
+        let batch: Vec<Request> = (0..8)
+            .map(|_| {
+                s = splitmix64(s);
+                Request {
+                    la: s % lines,
+                    op: Op::Write(LineData::Mixed((s >> 40) as u32)),
+                    arrival_ns: 0,
+                    deadline_ns: srbsg_pcm::Ns::MAX,
+                }
+            })
+            .collect();
         stamp.acked_writes += 8;
         stamp.save_seq += 1;
+        let before = allocs();
         let t = Instant::now();
+        let completions = fe.submit_batch(batch, 1);
+        let submitted = Instant::now();
         let outcome = commit_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
-        let wall = t.elapsed();
+        let committed = Instant::now();
+        let spent = allocs() - before;
+        assert!(completions.iter().all(|c| c.result.is_ok()));
+        drop(completions);
+        let wall = committed - submitted;
         assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 });
         let seen = std::mem::take(&mut *tally.lock().expect("tally holder panicked"));
         if seen.image_writes > 0 {
@@ -159,6 +201,10 @@ fn main() -> std::io::Result<()> {
             records += 1;
             // Both log copies get the same record.
             record_bytes += seen.appended / 2;
+            layers.submit += submitted - t;
+            layers.build += wall.saturating_sub(seen.media);
+            layers.append += seen.media;
+            layers.allocs += spent;
         }
     }
 
@@ -187,6 +233,20 @@ fn main() -> std::io::Result<()> {
         "checkpoint_ms={total:.2} encode_ms={:.2} crc_ms={crc:.2} media_ms={media:.2} (medians of {})",
         total - media - crc,
         checkpoints.len()
+    );
+    let per_record = |d: Duration| d.as_secs_f64() * 1e6 / records.max(1) as f64;
+    let rounds = records + checkpoints.len() as u64;
+    let checkpoint_wall: Duration = checkpoints.iter().map(|c| c.0).sum();
+    println!(
+        "submit_batch_us={:.2} record_build_us={:.2} append_us={:.2} checkpoint_us_amortized={:.2} (means over {records} log-record rounds of 8 writes)",
+        per_record(layers.submit),
+        per_record(layers.build),
+        per_record(layers.append),
+        checkpoint_wall.as_secs_f64() * 1e6 / rounds.max(1) as f64,
+    );
+    println!(
+        "allocs_per_round={:.2}",
+        layers.allocs as f64 / records.max(1) as f64
     );
     println!("fresh_boot_ms={:.2} (median of 5)", median(boots));
     drop(shelf);

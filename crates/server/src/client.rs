@@ -115,13 +115,34 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Toggle non-blocking accepts (the accept loop polls the shutdown
-    /// flag between attempts).
+    /// Toggle non-blocking accepts (the accept loop waits in
+    /// `Listener::wait_acceptable` between attempts).
     pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(nb),
             #[cfg(unix)]
             Listener::Unix(l) => l.set_nonblocking(nb),
+        }
+    }
+
+    /// Wait up to `timeout` for a connection to accept. Returns when one
+    /// is waiting, when the wait times out, or when a signal interrupts
+    /// it, so an accept loop re-checks its shutdown flag at least once
+    /// per `timeout`.
+    pub(crate) fn wait_acceptable(&self, timeout: Duration) -> io::Result<()> {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            let fd = match self {
+                Listener::Tcp(l) => l.as_raw_fd(),
+                Listener::Unix(l) => l.as_raw_fd(),
+            };
+            crate::os::wait_readable(fd, timeout)
+        }
+        #[cfg(not(unix))]
+        {
+            std::thread::sleep(timeout.min(Duration::from_millis(5)));
+            Ok(())
         }
     }
 

@@ -611,6 +611,10 @@ fn finish_round(
 /// idle and mid-frame deadlines.
 const READ_POLL: Duration = Duration::from_millis(50);
 
+/// How long the accept loop blocks waiting for a connection before it
+/// re-checks the shutdown flag.
+const ACCEPT_POLL: Duration = Duration::from_millis(50);
+
 /// How long one reply write may wait on a peer that stopped reading
 /// before its connection is dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -632,7 +636,6 @@ fn conn_loop(mut stream: Stream, shared: &Shared) {
         loop {
             match reader.next_request() {
                 Ok(Some(frame)) => {
-                    last_activity = Instant::now();
                     if triage(frame, shared, &mut pending, &mut replies).is_err() {
                         close = true;
                         break;
@@ -756,7 +759,9 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
                 thread::spawn(move || conn_loop(stream, &conn.0));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+                if listener.wait_acceptable(ACCEPT_POLL).is_err() {
+                    thread::sleep(Duration::from_millis(5));
+                }
             }
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }

@@ -2,8 +2,9 @@
 //! standard library already links — no external crate needed.
 //!
 //! The server installs handlers for `SIGTERM`/`SIGINT` that do nothing
-//! but set an atomic flag; the accept loop polls it and starts the
-//! graceful drain. `SIGKILL` cannot be handled by design — surviving it
+//! but set an atomic flag; the accept loop, which blocks in `poll(2)` on
+//! the listener between accepts (`wait_readable`), checks it and starts
+//! the graceful drain. `SIGKILL` cannot be handled by design — surviving it
 //! is the persistence layer's job, which the chaos harness exercises by
 //! sending real `SIGKILL`s to a real process.
 
@@ -23,7 +24,25 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
     fn kill(pid: i32, sig: i32) -> i32;
     fn getpid() -> i32;
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
 }
+
+/// `struct pollfd`.
+#[cfg(unix)]
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+#[cfg(unix)]
+const POLLIN: i16 = 1;
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(all(unix, not(target_os = "linux")))]
+type NfdsT = std::ffi::c_uint;
 
 #[cfg(unix)]
 extern "C" fn on_shutdown_signal(_sig: i32) {
@@ -49,6 +68,31 @@ pub fn shutdown_requested() -> bool {
 /// admin opcode). Equivalent to receiving `SIGTERM`.
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
+}
+
+/// Block until `fd` is readable (for a listening socket: a connection
+/// is waiting) or `timeout` passes, whichever is first. A signal cutting
+/// the wait short (`EINTR`) is a normal return, so the caller re-checks
+/// its shutdown flag.
+#[cfg(unix)]
+pub(crate) fn wait_readable(fd: i32, timeout: std::time::Duration) -> std::io::Result<()> {
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: `pfd` is a live, exclusively borrowed `struct pollfd` laid
+    // out as libc's (`repr(C)`), and `nfds` = 1 names exactly it.
+    if unsafe { poll(&mut pfd, 1, ms) } >= 0 {
+        return Ok(());
+    }
+    let err = std::io::Error::last_os_error();
+    if err.kind() == std::io::ErrorKind::Interrupted {
+        Ok(())
+    } else {
+        Err(err)
+    }
 }
 
 /// Send `sig` to `pid`. Used by the chaos harness to deliver `SIGTERM`

@@ -16,7 +16,7 @@
 //!   to *both* log copies, `log.a` and `log.b`, then runs a **doubled**
 //!   barrier ([`commit_with_healing`]). A record carries the commit's
 //!   counters, the `(slot, data, wear)` of every slot the batch touched
-//!   (the banks' dirty sets, [`srbsg_pcm::PcmBank::take_dirty`]), and each
+//!   (the banks' dirty sets, [`srbsg_pcm::PcmBank::drain_dirty`]), and each
 //!   bank's [`Store`] delta under one of three tags: 0, the journal bytes
 //!   appended since the previous commit; 2, after exactly one journal
 //!   checkpoint, the newly active snapshot slot ([`Store::active_slot`]),
@@ -63,7 +63,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use srbsg_pcm::{LineData, MultiBankSystem, Ns, PcmBank};
+use srbsg_pcm::{LineAddr, LineData, MultiBankSystem, Ns, PcmBank};
 use srbsg_persist::{
     crc64, decode_line_data, Dec, DirMedia, Enc, Media, MediaError, PersistError, Store,
 };
@@ -718,6 +718,8 @@ pub struct DiskShelf {
     image: Vec<u8>,
     /// The framed log record being appended, likewise reused.
     record: Vec<u8>,
+    /// One bank's dirty slots while a record is built, likewise reused.
+    dirty: Vec<LineAddr>,
 }
 
 impl DiskShelf {
@@ -749,6 +751,7 @@ impl DiskShelf {
             log: LogCursor::default(),
             image: Vec::new(),
             record: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -834,16 +837,16 @@ impl DiskShelf {
         enc.varint(stamp.acked_writes);
         enc.varint(sys.bank_count() as u64);
         for (b, mc) in sys.banks_mut().iter_mut().enumerate() {
-            let Some(dirty) = mc.bank_mut().take_dirty() else {
+            if !mc.bank_mut().drain_dirty(&mut self.dirty) {
                 mc.bank_mut().track_dirty();
                 ok = false;
                 continue;
-            };
+            }
             if !ok {
                 continue;
             }
-            enc.varint(dirty.len() as u64);
-            for slot in dirty {
+            enc.varint(self.dirty.len() as u64);
+            for &slot in &self.dirty {
                 enc.varint(slot);
                 encode_record_line(&mut enc, mc.bank().read_line(slot));
                 enc.varint(mc.bank().wear_of(slot));

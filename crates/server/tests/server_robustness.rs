@@ -255,6 +255,34 @@ fn slow_loris_and_idle_connections_are_closed() {
 }
 
 #[test]
+fn sequential_connections_are_answered_without_an_accept_delay() {
+    // The accept loop blocks in poll(2) on the listener, so a new
+    // connection is accepted as soon as it arrives rather than at the
+    // loop's next wake-up. A loop that slept 5 ms between polls puts the
+    // median round trip near 3 ms; the median, unlike a total, is not
+    // moved by a few trips that other processes delayed.
+    let server = TestServer::start("accept");
+    server.assert_alive();
+    let mut trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let start = Instant::now();
+            let mut c = server.client();
+            c.ping().expect("ping");
+            let took = start.elapsed();
+            c.close();
+            took
+        })
+        .collect();
+    trips.sort_unstable();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(1_500),
+        "median connect-plus-ping round trip {median:?} (all: {trips:?})"
+    );
+    server.stop();
+}
+
+#[test]
 fn out_of_range_addresses_are_typed_rejections() {
     let server = TestServer::start("oor");
     let mut c = server.client();
