@@ -67,27 +67,169 @@ const CRC64_TABLES: [[u64; 256]; 8] = {
     t
 };
 
-/// CRC-64/ECMA over `bytes` (the CRC-64/XZ parameterisation), eight bytes
-/// per step.
+/// CRC-64/ECMA over `bytes` (the CRC-64/XZ parameterisation). Where the
+/// CPU has a carry-less multiply (checked at run time), whole 16-byte
+/// blocks fold through it; otherwise, and for the tail, slice-by-8 runs.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    !crc64_update(!0, bytes)
+}
+
+/// Run the CRC register `crc` over `bytes` with the fastest kernel this
+/// CPU has.
+fn crc64_update(crc: u64, bytes: &[u8]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 16 && clmul::available() {
+        let blocks = bytes.len() & !15;
+        // SAFETY: `available` found pclmulqdq on this CPU, and `blocks` is
+        // a nonzero multiple of 16 no longer than `bytes`.
+        let crc = unsafe { clmul::fold(crc, &bytes[..blocks]) };
+        return crc64_slice8(crc, &bytes[blocks..]);
+    }
+    crc64_slice8(crc, bytes)
+}
+
+/// Run the CRC register `crc` over eight bytes `w` (little-endian): the
+/// slice-by-8 step, eight table lookups.
+#[inline]
+fn crc64_word(crc: u64, w: u64) -> u64 {
     let t = &CRC64_TABLES;
-    let mut crc = !0u64;
+    let x = crc ^ w;
+    t[7][(x & 0xFF) as usize]
+        ^ t[6][((x >> 8) & 0xFF) as usize]
+        ^ t[5][((x >> 16) & 0xFF) as usize]
+        ^ t[4][((x >> 24) & 0xFF) as usize]
+        ^ t[3][((x >> 32) & 0xFF) as usize]
+        ^ t[2][((x >> 40) & 0xFF) as usize]
+        ^ t[1][((x >> 48) & 0xFF) as usize]
+        ^ t[0][(x >> 56) as usize]
+}
+
+/// Run the CRC register `crc` over `bytes`, eight bytes per step: the
+/// portable kernel.
+fn crc64_slice8(mut crc: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let x = crc ^ u64::from_le_bytes(w.try_into().expect("chunks of eight"));
-        crc = t[7][(x & 0xFF) as usize]
-            ^ t[6][((x >> 8) & 0xFF) as usize]
-            ^ t[5][((x >> 16) & 0xFF) as usize]
-            ^ t[4][((x >> 24) & 0xFF) as usize]
-            ^ t[3][((x >> 32) & 0xFF) as usize]
-            ^ t[2][((x >> 40) & 0xFF) as usize]
-            ^ t[1][((x >> 48) & 0xFF) as usize]
-            ^ t[0][(x >> 56) as usize];
+        crc = crc64_word(
+            crc,
+            u64::from_le_bytes(w.try_into().expect("chunks of eight")),
+        );
     }
     for &b in words.remainder() {
-        crc = t[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// The carry-less-multiply CRC kernel (x86-64 `pclmulqdq`).
+///
+/// Bit-reflected, a 64-bit register's bit `i` is the coefficient of
+/// `x^(63-i)`, and a 16-byte block read little-endian is a 128-bit
+/// polynomial whose first eight bytes hold the high half. A reflected
+/// carry-less product of two 64-bit values is their polynomial product
+/// times `x`. So a block `X = X_lo·x^64 + X_hi` moves `d` bits further
+/// along the message, modulo the CRC polynomial `P`, as
+/// `clmul(X_lo, x^(d+63) mod P) ^ clmul(X_hi, x^(d-1) mod P)`, and folding
+/// every block into the last keeps the message's residue. The register
+/// the table kernel would hold is then that last block's residue times
+/// `x^64`: the table kernel run over its 16 bytes from zero.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use core::arch::x86_64::{
+        __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// Whether this CPU has the carry-less multiply.
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    /// `x^n mod P`, bit-reflected. `P`'s reflected low terms are the
+    /// table kernel's `0xC96C5795D7870F42`.
+    const fn xpow_mod(n: u32) -> u64 {
+        let p = 0xC96C_5795_D787_0F42u64.reverse_bits();
+        let mut v = 1u64;
+        let mut i = 0;
+        while i < n {
+            let top = v >> 63;
+            v <<= 1;
+            if top != 0 {
+                v ^= p;
+            }
+            i += 1;
+        }
+        v.reverse_bits()
+    }
+
+    /// The (low-half, high-half) multipliers that move a block `bits` bits
+    /// along the message.
+    const fn fold_keys(bits: u32) -> [u64; 2] {
+        [xpow_mod(bits + 63), xpow_mod(bits - 1)]
+    }
+
+    /// One block ahead: folds the previous block into the next.
+    const BY_16: [u64; 2] = fold_keys(128);
+    /// Four blocks ahead: each of four lanes folds into its next block.
+    const BY_64: [u64; 2] = fold_keys(512);
+
+    /// Fold `x` forward by `k`'s distance and add block `next`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold_into(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(x, k, 0x00);
+        let hi = _mm_clmulepi64_si128(x, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    fn keys(k: [u64; 2]) -> __m128i {
+        // SAFETY: SSE2 is part of x86-64.
+        unsafe { _mm_set_epi64x(k[1] as i64, k[0] as i64) }
+    }
+
+    /// Run the CRC register `crc` over `blocks`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`, and `blocks.len()` must be a
+    /// nonzero multiple of 16.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn fold(crc: u64, blocks: &[u8]) -> u64 {
+        assert!(!blocks.is_empty() && blocks.len() & 15 == 0);
+        let n = blocks.len() / 16;
+        let at = blocks.as_ptr().cast::<__m128i>();
+        // Unaligned loads of block `i < n`, inside `blocks`.
+        let load = |i: usize| _mm_loadu_si128(at.add(i));
+        let mut x = _mm_xor_si128(load(0), _mm_set_epi64x(0, crc as i64));
+        let mut i = 1;
+        if n >= 8 {
+            let k = keys(BY_64);
+            let mut lanes = [load(1), load(2), load(3)];
+            i = 4;
+            while i + 4 <= n {
+                x = fold_into(x, k, load(i));
+                for (j, lane) in lanes.iter_mut().enumerate() {
+                    *lane = fold_into(*lane, k, load(i + 1 + j));
+                }
+                i += 4;
+            }
+            let k = keys(BY_16);
+            for lane in lanes {
+                x = fold_into(x, k, lane);
+            }
+        }
+        let k = keys(BY_16);
+        while i < n {
+            x = fold_into(x, k, load(i));
+            i += 1;
+        }
+        let lo = _mm_cvtsi128_si64(x) as u64;
+        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x)) as u64;
+        super::crc64_word(super::crc64_word(0, lo), hi)
+    }
 }
 
 /// Little-endian byte-string builder.
@@ -241,7 +383,7 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
-    /// The bytewise reference the slice-by-8 [`crc64`] must match.
+    /// The bytewise reference both [`crc64`] kernels must match.
     fn crc64_bytewise(bytes: &[u8]) -> u64 {
         let mut crc = !0u64;
         for &b in bytes {
@@ -262,25 +404,46 @@ mod tests {
         assert_eq!(crc64(fox), crc64_bytewise(fox));
     }
 
-    #[test]
-    fn slice_by_8_matches_bytewise_reference() {
+    /// Check `kernel` (a CRC register update) against the bytewise
+    /// reference on every length 0..=4097 at 16 start offsets into one
+    /// random buffer.
+    fn matches_bytewise_at_every_length(kernel: impl Fn(u64, &[u8]) -> u64) {
         let mut s = 0x5EED_u64;
-        for len in (0..=67).chain([255, 256, 1023, 4097]) {
-            for _ in 0..4 {
-                let bytes: Vec<u8> = (0..len)
-                    .map(|_| {
-                        s = srbsg_parallel::splitmix64(s);
-                        s as u8
-                    })
-                    .collect();
-                assert_eq!(crc64(&bytes), crc64_bytewise(&bytes), "len {len}");
-                // Every alignment of the eight-byte steps against the input.
-                for start in 1..len.min(8) {
-                    let tail = &bytes[start..];
-                    assert_eq!(crc64(tail), crc64_bytewise(tail), "len {len} +{start}");
+        let bytes: Vec<u8> = (0..4097 + 16)
+            .map(|_| {
+                s = srbsg_parallel::splitmix64(s);
+                s as u8
+            })
+            .collect();
+        for start in 0..16 {
+            // The reference register, one byte further per length.
+            let mut reference = !0u64;
+            for len in 0..=4097 {
+                let input = &bytes[start..start + len];
+                assert_eq!(kernel(!0, input), reference, "len {len} +{start}");
+                if let Some(&b) = bytes.get(start + len) {
+                    reference = CRC64_TABLES[0][((reference ^ b as u64) & 0xFF) as usize]
+                        ^ (reference >> 8);
                 }
             }
+            assert_eq!(!reference, crc64_bytewise(&bytes[start..start + 4098]));
         }
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_reference() {
+        matches_bytewise_at_every_length(crc64_slice8);
+    }
+
+    /// On an x86-64 CPU with `pclmulqdq`, `crc64_update` runs the
+    /// carry-less kernel on every input of 16 bytes or more.
+    #[test]
+    fn clmul_matches_bytewise_reference() {
+        #[cfg(target_arch = "x86_64")]
+        if !clmul::available() {
+            eprintln!("no pclmulqdq on this CPU: only slice-by-8 is tested");
+        }
+        matches_bytewise_at_every_length(crc64_update);
     }
 
     #[test]

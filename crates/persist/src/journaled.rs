@@ -33,12 +33,12 @@
 //! SLO, [`CheckpointPolicy::slo_steps`].
 
 use crate::codec::PersistError;
-use crate::journal::{encode_record, parse_journal, Record};
+use crate::journal::{encode_record, parse_journal, LoggedOp, Record};
 use crate::persistor::{decode_marker, encode_marker, CrashPlan, Persistor, Store};
 use crate::state::{decode_snapshot, encode_snapshot, MetadataState};
 use srbsg_pcm::{
-    LineAddr, LineData, MemoryController, Ns, PcmBank, PcmError, PhysOp, StepSink, WearLeveler,
-    WriteResponse,
+    ApplySink, LineAddr, LineData, MemoryController, Ns, PcmBank, PcmError, PhysOp, StepSink,
+    WearLeveler, WriteResponse,
 };
 
 /// The most wear-leveling steps one demand write can commit. Two-level
@@ -257,6 +257,20 @@ impl<W: JournaledScheme> Journaled<W> {
         self.persistor.journal_bytes_written()
     }
 
+    /// Start recording the payload of every step that commits from here
+    /// on ([`Persistor::track_steps`]), for a layer that logs steps as
+    /// descriptors. Forgets anything recorded so far.
+    pub fn track_steps(&mut self) {
+        self.persistor.track_steps();
+    }
+
+    /// Drain the steps recorded since tracking started or since the
+    /// previous drain into `out` ([`Persistor::drain_steps`]); `false` when
+    /// tracking is off.
+    pub fn drain_steps(&mut self, out: &mut Vec<u8>) -> bool {
+        self.persistor.drain_steps(out)
+    }
+
     /// Cleanly cut the power between requests (orderly restart).
     pub fn power_cut(&mut self) {
         self.persistor.power_cut();
@@ -366,12 +380,49 @@ impl<W: JournaledScheme> Journaled<W> {
             ))
     }
 
-    fn recover_inner(
+    /// [`Journaled::recover_rekeyed_with_policy`] for a bank that is not
+    /// the durable copy of its own contents — the server's, whose durable
+    /// image lives on its shelf. The re-key burst runs straight onto the
+    /// bank, journaling no before-images, and the wrapper then checkpoints,
+    /// so its store holds one snapshot of the re-keyed scheme and an empty
+    /// journal. The bank ends exactly as the journaled burst leaves it.
+    pub fn recover_rekeyed_unjournaled(
         store: &Store,
         bank: &mut PcmBank,
-        rekey_seed: Option<u64>,
+        seed: u64,
         policy: CheckpointPolicy,
     ) -> Result<(Self, RecoveryReport), PersistError> {
+        let (mut jw, mut report) =
+            Self::recover_inner(store, bank, None, CheckpointPolicy::default())?;
+        jw.scheme.reseed_rng(seed);
+        report.reseeded = true;
+        report.rekey_movements = jw.scheme.rekey(bank, &mut ApplySink);
+        jw.policy = policy;
+        jw.checkpoint()?;
+        Ok((jw, report))
+    }
+
+    /// The scheme `store` describes: its snapshot with the journal replayed
+    /// onto the metadata only, and the sequence number the next record
+    /// would carry. No bank is touched, so a journal ending in an
+    /// uncommitted step — whose operations may not have reached the bank —
+    /// is refused as corrupt.
+    pub fn replay_metadata(store: &Store) -> Result<(W, u64), PersistError> {
+        let replayed = Self::replay(store)?;
+        if replayed.uncommitted.is_some() {
+            return Err(PersistError::Corrupt("journal ends in an uncommitted step"));
+        }
+        Ok((replayed.scheme, replayed.next_seq))
+    }
+
+    /// Stages 1–3 of recovery: choose the snapshot, then replay the
+    /// journal onto it, skipping the stale prefix (records the chosen
+    /// snapshot already covers — only present when power died between a
+    /// checkpoint's marker flip and its journal truncation) and verifying
+    /// the dense sequence chain. The clean journal is rebuilt from the kept
+    /// records, which both drops the stale prefix and truncates the torn
+    /// tail.
+    fn replay(store: &Store) -> Result<Replayed<W>, PersistError> {
         let (mut scheme, snap_seq, snapshot, marker_fallback) = Self::choose_snapshot(store)?;
         let parsed = parse_journal(&store.journal)?;
 
@@ -382,18 +433,11 @@ impl<W: JournaledScheme> Journaled<W> {
             marker_fallback,
             ..RecoveryReport::default()
         };
-
-        // Stage 2+3: skip the stale prefix (records the chosen snapshot
-        // already covers — only present when power died between a
-        // checkpoint's marker flip and its journal truncation), then
-        // replay the rest, verifying the dense sequence chain. The clean
-        // journal is rebuilt from the kept records, which both drops the
-        // stale prefix and truncates the torn tail.
         let mut clean_journal = Vec::new();
         let mut stale_seq: Option<u64> = None;
         let mut expected_seq = snap_seq;
-        let mut uncommitted: Option<&Record> = None;
-        for rec in &parsed.records {
+        let mut uncommitted = None;
+        for rec in parsed.records {
             if rec.seq() < snap_seq {
                 // Stale prefix: must itself be dense and precede any kept
                 // record (a stale record after a kept one is corruption).
@@ -415,7 +459,7 @@ impl<W: JournaledScheme> Journaled<W> {
                 return Err(PersistError::Corrupt("journal sequence gap"));
             }
             expected_seq += 1;
-            match rec {
+            match &rec {
                 Record::Step { payload, ops, .. } => {
                     let replayed = scheme.replay_step(payload)?;
                     let recorded: Vec<PhysOp> = ops.iter().map(|op| op.phys()).collect();
@@ -423,23 +467,49 @@ impl<W: JournaledScheme> Journaled<W> {
                         return Err(PersistError::Corrupt("replay diverged from journal"));
                     }
                     report.replayed_steps += 1;
-                    uncommitted = Some(rec);
                 }
-                Record::Commit { .. } => uncommitted = None,
-                Record::Reseed { seed, .. } => {
-                    scheme.reseed_rng(*seed);
-                    uncommitted = None;
-                }
+                Record::Commit { .. } => {}
+                Record::Reseed { seed, .. } => scheme.reseed_rng(*seed),
             }
-            clean_journal.extend_from_slice(&encode_record(rec));
+            clean_journal.extend_from_slice(&encode_record(&rec));
+            uncommitted = match rec {
+                Record::Step { ops, .. } => Some(ops),
+                Record::Commit { .. } | Record::Reseed { .. } => None,
+            };
         }
+        Ok(Replayed {
+            scheme,
+            snap_seq,
+            snapshot,
+            clean_journal,
+            next_seq: expected_seq,
+            uncommitted,
+            report,
+        })
+    }
 
-        if let Some(Record::Step { ops, .. }) = uncommitted {
+    fn recover_inner(
+        store: &Store,
+        bank: &mut PcmBank,
+        rekey_seed: Option<u64>,
+        policy: CheckpointPolicy,
+    ) -> Result<(Self, RecoveryReport), PersistError> {
+        let Replayed {
+            mut scheme,
+            snap_seq,
+            snapshot,
+            mut clean_journal,
+            next_seq: mut expected_seq,
+            uncommitted,
+            mut report,
+        } = Self::replay(store)?;
+
+        if let Some(ops) = uncommitted {
             // Stage 4: the final step was recorded but its commit marker
             // never made it: blindly redo from before-images (idempotent
             // whether the application was skipped, half-done, or complete)
             // and close the record.
-            for op in ops {
+            for op in &ops {
                 op.redo(bank);
                 report.redone_ops += 1;
             }
@@ -483,6 +553,20 @@ impl<W: JournaledScheme> Journaled<W> {
         }
         Ok((jw, report))
     }
+}
+
+/// What recovery's replay stages produce (see [`Journaled::replay`]).
+struct Replayed<W> {
+    scheme: W,
+    snap_seq: u64,
+    /// The chosen snapshot's bytes, as the store held them.
+    snapshot: Vec<u8>,
+    clean_journal: Vec<u8>,
+    /// The sequence number the next record takes.
+    next_seq: u64,
+    /// The ops of a final `Step` with no `Commit` marker.
+    uncommitted: Option<Vec<LoggedOp>>,
+    report: RecoveryReport,
 }
 
 impl<W: JournaledScheme> WearLeveler for Journaled<W> {

@@ -235,6 +235,10 @@ pub struct Persistor {
     checkpoints: u64,
     checkpoint_bytes: u64,
     journal_bytes_written: u64,
+    /// The payloads of the steps committed since the last
+    /// [`Persistor::drain_steps`], each as `len varint | payload`; `None`
+    /// unless [`Persistor::track_steps`] turned tracking on.
+    tracked: Option<Vec<u8>>,
 }
 
 impl Persistor {
@@ -255,6 +259,7 @@ impl Persistor {
             checkpoints: 0,
             checkpoint_bytes: 0,
             journal_bytes_written: 0,
+            tracked: None,
         }
     }
 
@@ -301,6 +306,29 @@ impl Persistor {
     /// checkpoint truncation).
     pub fn journal_bytes_written(&self) -> u64 {
         self.journal_bytes_written
+    }
+
+    /// Start recording the payload of every step that commits, so a layer
+    /// above can log the steps as descriptors instead of journal bytes.
+    /// Forgets anything recorded so far. Off by default.
+    pub fn track_steps(&mut self) {
+        self.tracked = Some(Vec::new());
+    }
+
+    /// Replace `out`'s contents with the steps committed since tracking
+    /// started or since the previous drain, in commit order, each as
+    /// `len varint | payload`; recording continues from empty. Returns
+    /// `false`, with `out` left empty, when tracking is off. The two
+    /// buffers trade places, so a steady drain allocates nothing.
+    pub fn drain_steps(&mut self, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        match &mut self.tracked {
+            Some(steps) => {
+                std::mem::swap(steps, out);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Arm a crash plan. Replaces any previous plan.
@@ -491,6 +519,12 @@ impl StepSink for Persistor {
         let len = append_commit(&mut self.store.journal, self.next_seq);
         self.journal_bytes_written += len as u64;
         self.next_seq += 1;
+        if let Some(steps) = self.tracked.as_mut() {
+            let mut enc = Enc::from_vec(std::mem::take(steps));
+            enc.varint(payload.len() as u64);
+            enc.bytes(payload);
+            *steps = enc.into_bytes();
+        }
         latency
     }
 }

@@ -4,7 +4,7 @@
 //! three checkpoint-phase crash points recovers to the correct snapshot.
 
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_pcm::{LineData, MemoryController, TimingModel};
+use srbsg_pcm::{LineData, MemoryController, TimingModel, WearLeveler};
 use srbsg_persist::{
     parse_journal, write_crashable, CheckpointPolicy, CrashMode, CrashPlan, Journaled,
     PersistError, Record, MAX_STEPS_PER_WRITE,
@@ -216,6 +216,65 @@ fn rekeyed_recovery_with_policy_absorbs_the_rekey_burst() {
     // post-recovery checkpoint absorbs it so the SLO holds from the very
     // first post-restart write.
     assert!(jw2.store().journal.is_empty());
+}
+
+#[test]
+fn an_unjournaled_rekey_burst_leaves_the_bank_the_journaled_one_does() {
+    let mut mc = MemoryController::new(
+        Journaled::with_policy(
+            SecurityRbsg::new(SecurityRbsgConfig::small(6, 4)),
+            CheckpointPolicy::every_steps(8),
+        ),
+        u64::MAX,
+        TimingModel::PAPER,
+    );
+    // Stop mid-round (two re-key rounds) and on a round boundary (one).
+    for writes in [997u64, 0] {
+        for i in 0..writes {
+            mc.write((i * 7) % 64, LineData::Mixed(i as u32 + 1));
+        }
+        let (jw, bank) = mc.into_parts();
+        let store = jw.into_store();
+        let policy = CheckpointPolicy::every_steps(8);
+        let (mut journaled_bank, mut volatile_bank) = (bank.clone(), bank);
+        let (journaled, jr) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
+            &store,
+            &mut journaled_bank,
+            0xD00D,
+            policy,
+        )
+        .unwrap();
+        let (volatile, vr) = Journaled::<SecurityRbsg>::recover_rekeyed_unjournaled(
+            &store,
+            &mut volatile_bank,
+            0xD00D,
+            policy,
+        )
+        .unwrap();
+        assert!(jr.rekey_movements > 0);
+        assert_eq!(vr.rekey_movements, jr.rekey_movements);
+        assert!(vr.reseeded);
+        for slot in 0..journaled_bank.slots() {
+            assert_eq!(
+                volatile_bank.read_line(slot),
+                journaled_bank.read_line(slot)
+            );
+            assert_eq!(volatile_bank.wear_of(slot), journaled_bank.wear_of(slot));
+        }
+        for la in 0..64 {
+            assert_eq!(volatile.translate(la), journaled.translate(la), "line {la}");
+        }
+        // The burst journaled nothing: the store is one checkpoint with an
+        // empty journal, and recovering it restores the re-keyed mapping.
+        assert!(volatile.store().journal.is_empty());
+        assert_eq!(volatile.checkpoint_policy(), policy);
+        let (again, _) =
+            Journaled::<SecurityRbsg>::recover(volatile.store(), &mut volatile_bank).unwrap();
+        for la in 0..64 {
+            assert_eq!(again.translate(la), journaled.translate(la), "line {la}");
+        }
+        mc = MemoryController::from_bank(journaled, journaled_bank);
+    }
 }
 
 #[test]

@@ -2,11 +2,14 @@
 //! geometry: 4 banks × 2^16 lines, rounds of 8 writes committed one round
 //! at a time, the shelf on a local directory without `--fsync`.
 //!
-//! It reports the log record bytes per commit, checkpoints per 100k acks,
-//! the wall time of a checkpoint split into encode, CRC and media calls,
-//! and the wall time of a fresh boot. Media is the time inside the
-//! medium's calls, CRC is one CRC-64 over an image-sized buffer, and
-//! encode is the rest of the checkpoint's wall time.
+//! It reports the log record bytes per commit, split into header (frame
+//! and counters), line slots and step descriptors, the remap steps a
+//! commit logs, checkpoints per 100k acks, the wall time of a checkpoint
+//! split into encode, CRC and media calls, and the wall time of a fresh
+//! boot and of a recovery boot from the shelf the run leaves (load, log
+//! replay, re-key, checkpoint). Media is the time inside the medium's
+//! calls, CRC is one CRC-64 over an image-sized buffer, and encode is the
+//! rest of the checkpoint's wall time.
 //!
 //! Each round goes through the serving path: one `FrontEnd::submit_batch`
 //! of 8 writes, then `commit_with_healing`. Over the rounds whose commit
@@ -30,11 +33,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
-use srbsg_persist::{crc64, DirMedia, Media, MediaError};
+use srbsg_persist::{crc64, Dec, DirMedia, Media, MediaError, PersistError};
 use srbsg_serve::{Op, Request};
 use srbsg_server::{
     boot, checkpoint_with_healing, commit_with_healing, CommitStamp, DiskShelf, RetryPolicy,
-    SaveOutcome, ServerConfig,
+    SaveOutcome, ServerConfig, SHELF_LOGS,
 };
 use srbsg_workloads::splitmix64;
 
@@ -62,6 +65,69 @@ struct Tally {
     appended: u64,
     image_writes: u64,
     image_bytes: u64,
+    /// The appended records' bytes by part (see [`Split`]).
+    split: Split,
+}
+
+/// One log record's bytes by part, and the steps it logs.
+#[derive(Debug, Default, Clone, Copy)]
+struct Split {
+    /// The frame's header and CRC, the commit counters, the bank count.
+    header: u64,
+    /// Per bank, the dirty count and every `(slot, line, wear)`.
+    lines: u64,
+    /// Per bank, the descriptors' length and the descriptors.
+    descriptors: u64,
+    steps: u64,
+}
+
+impl Split {
+    fn add(&mut self, other: Split) {
+        self.header += other.header;
+        self.lines += other.lines;
+        self.descriptors += other.descriptors;
+        self.steps += other.steps;
+    }
+
+    /// Split a framed record (`len u32 | check u32 | payload | crc64`),
+    /// following the record layout in the shelf's `LogReplay::apply`.
+    fn of(frame: &[u8]) -> Result<Self, PersistError> {
+        let payload = frame
+            .get(8..frame.len() - 8)
+            .ok_or(PersistError::Truncated)?;
+        let mut dec = Dec::new(payload);
+        let at = |dec: &Dec| (payload.len() - dec.remaining()) as u64;
+        for _ in 0..4 {
+            dec.varint()?;
+        }
+        let banks = dec.varint()?;
+        let mut split = Split {
+            header: 16 + at(&dec),
+            ..Split::default()
+        };
+        for _ in 0..banks {
+            let start = at(&dec);
+            for _ in 0..dec.varint()? {
+                dec.varint()?;
+                if dec.u8()? == 2 {
+                    dec.u32()?;
+                }
+                dec.varint()?;
+            }
+            let mid = at(&dec);
+            let len = dec.varint()? as usize;
+            let mut steps = Dec::new(dec.take(len)?);
+            while steps.remaining() > 0 {
+                let n = steps.varint()? as usize;
+                steps.take(n)?;
+                split.steps += 1;
+            }
+            split.lines += mid - start;
+            split.descriptors += at(&dec) - mid;
+        }
+        dec.finish()?;
+        Ok(split)
+    }
 }
 
 /// A [`DirMedia`] that times every call and counts appended bytes and
@@ -94,7 +160,13 @@ impl Media for Probe {
         self.timed(|m| m.write(name, bytes))
     }
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), MediaError> {
-        self.tally.lock().expect("tally holder panicked").appended += bytes.len() as u64;
+        let mut t = self.tally.lock().expect("tally holder panicked");
+        t.appended += bytes.len() as u64;
+        if name == SHELF_LOGS[0] {
+            t.split
+                .add(Split::of(bytes).expect("the shelf appends whole records"));
+        }
+        drop(t);
         self.timed(|m| m.append(name, bytes))
     }
     fn rename(&mut self, from: &str, to: &str) -> Result<(), MediaError> {
@@ -159,12 +231,14 @@ fn main() -> std::io::Result<()> {
     };
     let armed = checkpoint_with_healing(&mut shelf, fe.system_mut(), stamp, &policy);
     assert!(matches!(armed, SaveOutcome::Saved { .. }), "{armed:?}");
-    *tally.lock().expect("tally holder panicked") = Tally::default();
+    let mut image_bytes =
+        std::mem::take(&mut *tally.lock().expect("tally holder panicked")).image_bytes;
 
     let lines = fe.system().logical_lines();
     let (mut records, mut record_bytes) = (0u64, 0u64);
-    let (mut checkpoints, mut image_bytes) = (Vec::new(), 0);
+    let mut checkpoints = Vec::new();
     let mut layers = Layers::default();
+    let mut split = Split::default();
     let mut s = 6u64;
     while stamp.acked_writes < acks {
         // Arrival 0 never idles a bank: the device sees exactly the
@@ -201,6 +275,7 @@ fn main() -> std::io::Result<()> {
             records += 1;
             // Both log copies get the same record.
             record_bytes += seen.appended / 2;
+            split.add(seen.split);
             layers.submit += submitted - t;
             layers.build += wall.saturating_sub(seen.media);
             layers.append += seen.media;
@@ -225,6 +300,14 @@ fn main() -> std::io::Result<()> {
         "record_bytes_per_commit={:.1}",
         record_bytes as f64 / records.max(1) as f64
     );
+    let per_commit = |x: u64| x as f64 / records.max(1) as f64;
+    println!(
+        "record_split header={:.1} line_slots={:.1} descriptors={:.1}",
+        per_commit(split.header),
+        per_commit(split.lines),
+        per_commit(split.descriptors),
+    );
+    println!("steps_per_commit={:.2}", per_commit(split.steps));
     println!(
         "checkpoints_per_100k_acks={:.2}",
         checkpoints.len() as f64 * 1e5 / stamp.acked_writes as f64
@@ -249,7 +332,34 @@ fn main() -> std::io::Result<()> {
         layers.allocs as f64 / records.max(1) as f64
     );
     println!("fresh_boot_ms={:.2} (median of 5)", median(boots));
+
+    // Recovery boots, each from the shelf as the last round left it
+    // (checkpoint plus log): load and replay the log, re-key every bank,
+    // checkpoint the new generation.
     drop(shelf);
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&dir)? {
+        let path = entry?.path();
+        files.push((path.clone(), std::fs::read(path)?));
+    }
+    let mut recoveries = Vec::new();
+    let mut recovered = None;
+    for _ in 0..5 {
+        for (path, bytes) in &files {
+            std::fs::write(path, bytes)?;
+        }
+        let t = Instant::now();
+        let (_, _, report) = boot(&cfg)?;
+        recoveries.push(ms(t.elapsed()));
+        recovered = Some(report);
+    }
+    let recovered = recovered.expect("five boots");
+    println!(
+        "recovery_boot_ms={:.2} replayed_steps={} rekey_movements={} (median of 5)",
+        median(recoveries),
+        recovered.replayed_steps,
+        recovered.rekey_movements
+    );
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -26,7 +26,10 @@ FLAGS:
     --idle-timeout-ms MS   idle connection timeout     [30000]
     --frame-timeout-ms MS  mid-frame (slow-loris) timeout [5000]
     --deadline-ns NS       per-request simulated deadline budget [none]
-    --checkpoint-every K   journal checkpoint cadence  [128]
+    --checkpoint-every K   remap steps between checkpoints of each
+                           bank's in-memory journal; the shelf logs
+                           step descriptors, so this bounds only that
+                           journal's memory             [128]
     -h, --help             this text
 
 ENV:

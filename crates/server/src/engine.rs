@@ -43,12 +43,12 @@
 //! Under the engine lock, every chunk that acknowledged at least one
 //! write is committed to the shelf ([`commit_with_healing`]) **before**
 //! any of its replies are encoded: one record holding the slots the chunk
-//! touched and the journal bytes it appended, appended to both copies of
-//! the shelf's delta log behind a doubled barrier. When the log has grown
-//! to the size of the device image, the commit writes a full checkpoint
-//! instead (dual-slot atomic rename) and empties the log. `WriteOk` on
-//! the wire therefore implies the write is recoverable, which is exactly
-//! the invariant the chaos harness audits across `SIGKILL`.
+//! touched and the descriptors of the remap steps it ran, appended to both
+//! copies of the shelf's delta log behind a doubled barrier. When the log
+//! has grown to the size of the device image, the commit writes a full
+//! checkpoint instead (dual-slot atomic rename) and empties the log.
+//! `WriteOk` on the wire therefore implies the write is recoverable, which
+//! is exactly the invariant the chaos harness audits across `SIGKILL`.
 //!
 //! # Drain state machine
 //!
@@ -118,7 +118,10 @@ pub struct ServerConfig {
     /// Close a connection that dribbles a single frame this long
     /// (slow-loris defense).
     pub frame_timeout: Duration,
-    /// Checkpoint cadence for the per-bank journals.
+    /// Remap steps between checkpoints of each bank's in-memory journal.
+    /// The shelf logs steps as descriptors, not journal bytes, so this
+    /// bounds only that journal's memory and the store a shelf checkpoint
+    /// carries.
     pub checkpoint_every: u64,
 }
 
@@ -154,7 +157,8 @@ pub struct BootReport {
     pub generation: u64,
     /// Whether state was recovered from a previous power session.
     pub recovered: bool,
-    /// Journal steps replayed across banks.
+    /// Remap steps replayed across banks: the shelf log's step
+    /// descriptors, then the steps of the checkpoint stores' journals.
     pub replayed_steps: u64,
     /// Line movements performed by the re-keying remap.
     pub rekey_movements: u64,
@@ -311,6 +315,7 @@ pub fn boot(
             }
             let (mut fe, mut report) = restore(&state, pol, cfg.serve)?;
             report.healed_shelf_slot = scrub.healed_slot.is_some() || scrub.healed_log.is_some();
+            report.replayed_steps += scrub.replayed_steps;
             let stamp = CommitStamp {
                 save_seq: report.save_seq,
                 generation: report.generation,
@@ -324,12 +329,15 @@ pub fn boot(
 }
 
 /// Rebuild a serving front-end from a loaded shelf image, as the next
-/// generation: restore every bank, re-key its Security RBSG mapping from
-/// a fresh per-generation seed, replay its journal, and advance the device
-/// clock to the image's. The returned report carries the new generation,
-/// the recovery counts and the `save_seq` the next commit takes; the
-/// caller fills in what the load scrub found. This is the one place the
-/// re-key seed is derived.
+/// generation: restore every bank, replay its journal, re-key its Security
+/// RBSG mapping from a fresh per-generation seed, and advance the device
+/// clock to the image's. The bank is volatile and the shelf its durable
+/// copy, so the re-key burst runs straight onto the bank without
+/// journaling, and each bank's store ends as one snapshot of the re-keyed
+/// scheme. The returned report carries the new generation, the recovery
+/// counts and the `save_seq` the next commit takes; the caller fills in
+/// what the load scrub found. This is the one place the re-key seed is
+/// derived.
 pub fn restore(
     state: &ShelfState,
     policy: CheckpointPolicy,
@@ -347,7 +355,7 @@ pub fn restore(
     for (b, bs) in state.banks.iter().enumerate() {
         let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
         let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
-        let (jw, rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
+        let (jw, rec) = Journaled::<SecurityRbsg>::recover_rekeyed_unjournaled(
             &bs.store, &mut bank, rekey, policy,
         )
         .map_err(|e| {

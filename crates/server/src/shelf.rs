@@ -1,12 +1,12 @@
 //! The disk shelf: the server's durable state, on pluggable media.
 //!
-//! The in-memory persistence layer (`srbsg-persist`) already models
-//! crash-safe checkpoints and journals inside a [`Store`]; what a real
-//! process needs on top is getting that store — plus the simulated PCM
-//! array it journals *about* — onto durable media so the state survives
-//! `SIGKILL`. The shelf is written against the [`Media`] trait, so the
-//! same protocol runs over a real directory ([`srbsg_persist::DirMedia`]),
-//! the in-memory medium, or a deterministic fault injector
+//! The in-memory persistence layer (`srbsg-persist`) models crash-safe
+//! checkpoints and journals inside a [`Store`]; what a real process needs
+//! on top is getting each bank's scheme state — plus the simulated PCM
+//! array it maps — onto durable media so the state survives `SIGKILL`.
+//! The shelf is written against the [`Media`] trait, so the same protocol
+//! runs over a real directory ([`srbsg_persist::DirMedia`]), the in-memory
+//! medium, or a deterministic fault injector
 //! ([`srbsg_persist::FaultyMedia`]).
 //!
 //! The shelf holds a **checkpoint** — the whole device image — plus a
@@ -15,15 +15,19 @@
 //! * Every batch that acknowledges a write appends one CRC-framed record
 //!   to *both* log copies, `log.a` and `log.b`, then runs a **doubled**
 //!   barrier ([`commit_with_healing`]). A record carries the commit's
-//!   counters, the `(slot, data, wear)` of every slot the batch touched
-//!   (the banks' dirty sets, [`srbsg_pcm::PcmBank::drain_dirty`]), and each
-//!   bank's [`Store`] delta under one of three tags: 0, the journal bytes
-//!   appended since the previous commit; 2, after exactly one journal
-//!   checkpoint, the newly active snapshot slot ([`Store::active_slot`]),
-//!   the marker and the journal; 1, the whole small store in any other
-//!   case. Counts, slots, wear and lengths are LEB128 varints and a line
-//!   is its kind byte, plus the tag only for `Mixed`. So a commit writes
-//!   O(batch) bytes, not O(device), and few of them.
+//!   counters and, per bank, the `(slot, data, wear)` of every slot the
+//!   batch touched (the bank's dirty set,
+//!   [`srbsg_pcm::PcmBank::drain_dirty`]) followed by the **descriptors**
+//!   of the remap steps the bank ran since the previous record, in order
+//!   ([`srbsg_persist::Journaled::drain_steps`]). A descriptor is the
+//!   step's journal payload: a few bytes naming an outer DFN movement or
+//!   an inner Start-Gap movement of one sub-region. Each step is a
+//!   deterministic function of the scheme's registers, so the payload
+//!   rebuilds it, and every slot it writes is dirty, so the record already
+//!   holds its result: no before-image or journal byte is logged. Counts,
+//!   slots, wear and lengths are LEB128 varints and a line is its kind
+//!   byte, plus the tag only for `Mixed`. So a commit writes O(batch)
+//!   bytes, not O(device), and few of them.
 //! * When the log would reach the size of the checkpoint image, the
 //!   commit writes a new checkpoint instead and empties both logs. Write
 //!   amplification stays within 2× and a load replays at most one image's
@@ -32,25 +36,32 @@
 //!   replaced by write-to-temp + barrier + rename, then a doubled barrier
 //!   ([`DiskShelf::save`]). [`checkpoint_with_healing`] encodes the image
 //!   straight from the live banks into one buffer the shelf keeps, with
-//!   the same bytes as [`ShelfState::capture`] would encode.
+//!   the same bytes as [`ShelfState::capture`] would encode. A bank's
+//!   image carries its scheme's whole [`Store`], in-memory journal
+//!   included.
 //!
 //! Under the single-fault model, one lying fsync can never leave a
 //! reported-durable commit unflushed, because an honest barrier always
 //! runs after the last mutation; one rotten copy of a checkpoint or of a
 //! log record is served from its twin. A failed append falls back to a
 //! full checkpoint, so a torn record never sits before a committed one
-//! and no dirty slot is lost.
+//! and no dirty slot or step is lost.
 //!
 //! [`DiskShelf::load`] CRC-validates both checkpoint copies and serves the
-//! newest valid one, then folds in the log records that follow it. The
-//! scrub rewrites a damaged checkpoint copy from its twin, takes a rotten
-//! log record from the other log copy, ignores an uncommitted torn tail,
-//! and reports what it found (typed as corruption vs truncation); damage
-//! to both copies of anything committed is a typed [`ShelfError::Decode`],
-//! never a plausible-but-wrong state. Load never rewrites a log copy: a
-//! crash during such a rewrite could cut committed records out of the
-//! copy it trusted. The checkpoint that follows every load (boot,
-//! recovery) replaces both logs instead.
+//! newest valid one, then folds in the log records that follow it: their
+//! slots overwrite the image's, and their descriptors replay, metadata
+//! only, onto the scheme recovered from the checkpoint's store. A step
+//! that would move a line into a slot its record does not carry is a
+//! typed corruption. A bank whose steps replayed comes back with a store
+//! holding one snapshot of the replayed scheme. The scrub rewrites a
+//! damaged checkpoint copy from its twin, takes a rotten log record from
+//! the other log copy, ignores an uncommitted torn tail, and reports what
+//! it found (typed as corruption vs truncation); damage to both copies of
+//! anything committed is a typed [`ShelfError::Decode`], never a
+//! plausible-but-wrong state. Load never rewrites a log copy: a crash
+//! during such a rewrite could cut committed records out of the copy it
+//! trusted. The checkpoint that follows every load (boot, recovery)
+//! replaces both logs instead.
 //!
 //! Ordering contract with the serving path: a write is acknowledged to
 //! the client only **after** the commit that contains it returns, so
@@ -63,15 +74,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use srbsg_pcm::{LineAddr, LineData, MultiBankSystem, Ns, PcmBank};
+use srbsg_core::SecurityRbsg;
+use srbsg_pcm::{LineAddr, LineData, MultiBankSystem, Ns, PcmBank, PhysOp};
 use srbsg_persist::{
-    crc64, decode_line_data, Dec, DirMedia, Enc, Media, MediaError, PersistError, Store,
+    crc64, decode_line_data, encode_snapshot, Dec, DirMedia, Enc, Journaled, JournaledScheme,
+    Media, MediaError, PersistError, Store,
 };
 
 use crate::engine::ServerScheme;
 
 const MAGIC: u64 = 0x5342_5347_5348_4C46; // "SBSGSHLF"
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The two checkpoint copies on the medium (dual-slot rot tolerance).
 pub const SHELF_SLOTS: [&str; 2] = ["state.a", "state.b"];
@@ -81,11 +94,13 @@ const SHELF_TMPS: [&str; 2] = ["state.a.tmp", "state.b.tmp"];
 /// The two copies of the delta log on the medium.
 pub const SHELF_LOGS: [&str; 2] = ["log.a", "log.b"];
 
-/// Durable image of one bank: its persistence store plus the PCM array
-/// contents the store's journal refers to.
+/// Durable image of one bank: its scheme's persistence store plus the PCM
+/// array contents the scheme maps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankShelf {
-    /// The persistence store (dual snapshot slots, marker, journal).
+    /// The persistence store (dual snapshot slots, marker, journal): as
+    /// the checkpoint holds it, or, once load replayed log steps onto it,
+    /// one snapshot of the replayed scheme.
     pub store: Store,
     /// Addressable slot count of the bank.
     pub slots: u64,
@@ -138,13 +153,6 @@ impl BankShelf {
             &store.marker,
             &store.journal,
         ]
-    }
-
-    fn encode_store(store: &Store, enc: &mut Enc) {
-        for part in Self::store_parts(store) {
-            enc.u64(part.len() as u64);
-            enc.bytes(part);
-        }
     }
 
     fn decode_store(dec: &mut Dec) -> Result<Store, PersistError> {
@@ -426,31 +434,66 @@ impl ShelfState {
             banks,
         })
     }
+}
 
-    /// Fold one log record (the payload of a whole frame) into the image.
+/// A bank's scheme while load replays log steps onto it: recovered, metadata
+/// only, from the checkpoint's store at the first record that carries a
+/// step of the bank.
+#[derive(Clone)]
+struct BankReplay {
+    scheme: SecurityRbsg,
+    /// The journal sequence number the scheme's next record would take.
+    next_seq: u64,
+}
+
+/// What load carries from one log record to the next, for a state of as
+/// many banks as [`LogReplay::new`] was given.
+#[derive(Clone)]
+struct LogReplay {
+    /// Per bank, its replayed scheme once a record carried a step of it.
+    banks: Vec<Option<BankReplay>>,
+    /// The slots the record being folded carries for one bank.
+    carried: Vec<LineAddr>,
+    /// Descriptors replayed so far, over all banks.
+    steps: u64,
+}
+
+impl LogReplay {
+    fn new(banks: usize) -> Self {
+        Self {
+            banks: (0..banks).map(|_| None).collect(),
+            carried: Vec::new(),
+            steps: 0,
+        }
+    }
+
+    /// Fold one log record (the payload of a whole frame) into `state`.
     /// Record layout (`var` is an LEB128 varint, `line` a kind byte —
     /// 0 zeros, 1 ones, 2 mixed — then, for mixed only, its tag `u32`):
     ///
     /// ```text
     /// save_seq var | now_ns (hi var, lo var) | acked_writes var | banks var
-    /// per bank: dirty var | dirty × (slot var | line | wear var) | store
-    /// store:    0u8 | len var | journal suffix     (no journal checkpoint)
-    ///         | 1u8 | whole store, as in the image  (fallback)
-    ///         | 2u8 | slot u8 | 3 × (len var | bytes): the newly active
-    ///           snapshot slot, the marker, the journal (one checkpoint)
+    /// per bank: dirty var | dirty × (slot var | line | wear var)
+    ///         | steps len var | steps: (len var | descriptor)*
     /// ```
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), PersistError> {
+    ///
+    /// A descriptor is the payload the bank's scheme committed a remap
+    /// step with; the bank's descriptors follow in the order its steps
+    /// ran. Each replays onto the bank's scheme, and every slot the
+    /// replayed step writes must be one this record carries.
+    fn apply(&mut self, state: &mut ShelfState, payload: &[u8]) -> Result<(), PersistError> {
         let mut dec = Dec::new(payload);
-        self.save_seq = dec.varint()?;
+        state.save_seq = dec.varint()?;
         let now_hi = dec.varint()?;
         let now_lo = dec.varint()?;
-        self.now_ns = ((now_hi as Ns) << 64) | now_lo as Ns;
-        self.acked_writes = dec.varint()?;
-        if dec.varint()? != self.banks.len() as u64 {
+        state.now_ns = ((now_hi as Ns) << 64) | now_lo as Ns;
+        state.acked_writes = dec.varint()?;
+        if dec.varint()? != state.banks.len() as u64 {
             return Err(PersistError::Corrupt("shelf log record bank count"));
         }
-        for bank in &mut self.banks {
+        for (bank, replay) in state.banks.iter_mut().zip(&mut self.banks) {
             let dirty = dec.varint()?;
+            self.carried.clear();
             for _ in 0..dirty {
                 let slot = dec.varint()?;
                 if slot >= bank.slots {
@@ -458,36 +501,51 @@ impl ShelfState {
                 }
                 bank.data[slot as usize] = decode_record_line(&mut dec)?;
                 bank.wear[slot as usize] = dec.varint()?;
+                self.carried.push(slot);
             }
-            match dec.u8()? {
-                STORE_SUFFIX => {
-                    let suffix = take_varint_len(&mut dec)?;
-                    bank.store.journal.extend_from_slice(suffix);
-                }
-                STORE_WHOLE => bank.store = BankShelf::decode_store(&mut dec)?,
-                STORE_SLOT => {
-                    let slot = dec.u8()? as usize;
-                    if slot >= bank.store.slots.len() {
-                        return Err(PersistError::Corrupt("bad shelf log snapshot slot"));
+            let mut steps = Dec::new(take_varint_len(&mut dec)?);
+            while steps.remaining() > 0 {
+                let descriptor = take_varint_len(&mut steps)?;
+                let replay = match replay {
+                    Some(r) => r,
+                    None => {
+                        let (scheme, next_seq) =
+                            Journaled::<SecurityRbsg>::replay_metadata(&bank.store)?;
+                        replay.insert(BankReplay { scheme, next_seq })
                     }
-                    bank.store.slots[slot] = take_varint_len(&mut dec)?.to_vec();
-                    bank.store.marker = take_varint_len(&mut dec)?.to_vec();
-                    bank.store.journal = take_varint_len(&mut dec)?.to_vec();
+                };
+                for op in replay.scheme.replay_step(descriptor)? {
+                    let carried = match op {
+                        PhysOp::Move { dst, .. } => self.carried.contains(&dst),
+                        PhysOp::Swap { a, b } => {
+                            self.carried.contains(&a) && self.carried.contains(&b)
+                        }
+                    };
+                    if !carried {
+                        return Err(PersistError::Corrupt(
+                            "shelf log step writes a slot its record does not carry",
+                        ));
+                    }
                 }
-                _ => return Err(PersistError::Corrupt("bad shelf log store tag")),
+                // A journaled step takes two records: the step, its commit.
+                replay.next_seq += 2;
+                self.steps += 1;
             }
         }
         dec.finish()
     }
-}
 
-/// Record store tag: the journal bytes appended since the last commit.
-const STORE_SUFFIX: u8 = 0;
-/// Record store tag: the whole store.
-const STORE_WHOLE: u8 = 1;
-/// Record store tag: after one journal checkpoint, the newly active
-/// snapshot slot, the marker and the journal; the other slot is unchanged.
-const STORE_SLOT: u8 = 2;
+    /// Give every bank whose steps replayed a store holding one snapshot of
+    /// its replayed scheme; returns the descriptors replayed.
+    fn finish(self, state: &mut ShelfState) -> u64 {
+        for (bank, replay) in state.banks.iter_mut().zip(self.banks) {
+            if let Some(BankReplay { scheme, next_seq }) = replay {
+                bank.store = Store::with_snapshot(encode_snapshot(&scheme, next_seq), next_seq);
+            }
+        }
+        self.steps
+    }
+}
 
 /// A record's line data: the kind byte, then the tag for `Mixed` only.
 fn encode_record_line(enc: &mut Enc, data: LineData) {
@@ -679,6 +737,9 @@ pub struct ShelfScrub {
     /// Stale temporaries (from a save that died between create and
     /// rename) removed on open.
     pub stale_tmps_removed: u32,
+    /// Remap-step descriptors the log records replayed onto the banks'
+    /// schemes.
+    pub replayed_steps: u64,
 }
 
 impl ShelfScrub {
@@ -701,10 +762,6 @@ struct LogCursor {
     bytes: u64,
     /// Bytes of the checkpoint image: the log's budget before the next.
     budget: u64,
-    /// Per bank, the store the log already covers, as (journal
-    /// checkpoints installed, journal length); `None` makes the next
-    /// record carry the whole store.
-    stores: Vec<Option<(u64, usize)>>,
 }
 
 /// Handle on the medium holding the server's durable state.
@@ -720,6 +777,9 @@ pub struct DiskShelf {
     record: Vec<u8>,
     /// One bank's dirty slots while a record is built, likewise reused.
     dirty: Vec<LineAddr>,
+    /// One bank's step descriptors while a record is built, likewise
+    /// reused.
+    steps: Vec<u8>,
 }
 
 impl DiskShelf {
@@ -752,6 +812,7 @@ impl DiskShelf {
             image: Vec::new(),
             record: Vec::new(),
             dirty: Vec::new(),
+            steps: Vec::new(),
         }
     }
 
@@ -788,13 +849,12 @@ impl DiskShelf {
     /// [`save_with_healing`]).
     pub fn save(&mut self, state: &ShelfState) -> Result<(), MediaError> {
         state.encode_into(&mut self.image);
-        self.save_image(state.banks.len())
+        self.save_image()
     }
 
-    /// Save the encoded image of a `banks`-bank device as the checkpoint
-    /// ([`DiskShelf::save`]'s protocol). Every checkpoint lands through
-    /// here.
-    fn save_image(&mut self, banks: usize) -> Result<(), MediaError> {
+    /// Save the encoded image as the checkpoint ([`DiskShelf::save`]'s
+    /// protocol). Every checkpoint lands through here.
+    fn save_image(&mut self) -> Result<(), MediaError> {
         self.log.open = false;
         for (slot, tmp) in SHELF_SLOTS.iter().zip(SHELF_TMPS) {
             self.media.write(tmp, &self.image)?;
@@ -810,22 +870,22 @@ impl DiskShelf {
             open: true,
             bytes: 0,
             budget: self.image.len() as u64,
-            stores: vec![None; banks],
         };
         Ok(())
     }
 
     /// Build, in `self.record`, the framed log record committing `sys` at
-    /// `stamp`, draining every bank's dirty set. Returns `false` when the
-    /// commit must be a checkpoint instead: the log is closed, a bank was
-    /// not tracking its dirty slots yet (tracking starts now), or the log
-    /// would reach the checkpoint image's size.
+    /// `stamp`, draining every bank's dirty set and step descriptors.
+    /// Returns `false` when the commit must be a checkpoint instead: the
+    /// log is closed, a bank was not tracking its dirty slots or steps yet
+    /// (tracking starts now), or the log would reach the checkpoint
+    /// image's size.
     fn delta_record(
         &mut self,
         sys: &mut MultiBankSystem<ServerScheme>,
         stamp: CommitStamp,
     ) -> bool {
-        let mut ok = self.log.open && self.log.stores.len() == sys.bank_count();
+        let mut ok = self.log.open;
         let now = sys.now_ns();
         self.record.clear();
         let mut enc = Enc::from_vec(std::mem::take(&mut self.record));
@@ -836,9 +896,13 @@ impl DiskShelf {
         enc.varint(now as u64);
         enc.varint(stamp.acked_writes);
         enc.varint(sys.bank_count() as u64);
-        for (b, mc) in sys.banks_mut().iter_mut().enumerate() {
-            if !mc.bank_mut().drain_dirty(&mut self.dirty) {
+        for mc in sys.banks_mut() {
+            // Both drain, tracked or not, so neither carries over.
+            let tracked = mc.bank_mut().drain_dirty(&mut self.dirty)
+                & mc.scheme_mut().drain_steps(&mut self.steps);
+            if !tracked {
                 mc.bank_mut().track_dirty();
+                mc.scheme_mut().track_steps();
                 ok = false;
                 continue;
             }
@@ -851,26 +915,7 @@ impl DiskShelf {
                 encode_record_line(&mut enc, mc.bank().read_line(slot));
                 enc.varint(mc.bank().wear_of(slot));
             }
-            let scheme = mc.scheme();
-            let (store, ckpts) = (scheme.store(), scheme.checkpoints_installed());
-            match (self.log.stores[b], store.active_slot()) {
-                (Some((c, len)), _) if c == ckpts && len <= store.journal.len() => {
-                    enc.u8(STORE_SUFFIX);
-                    put_varint_len(&mut enc, &store.journal[len..]);
-                }
-                (Some((c, _)), Some(slot)) if c + 1 == ckpts => {
-                    enc.u8(STORE_SLOT);
-                    enc.u8(slot as u8);
-                    put_varint_len(&mut enc, &store.slots[slot]);
-                    put_varint_len(&mut enc, &store.marker);
-                    put_varint_len(&mut enc, &store.journal);
-                }
-                _ => {
-                    enc.u8(STORE_WHOLE);
-                    BankShelf::encode_store(store, &mut enc);
-                }
-            }
-            self.log.stores[b] = Some((ckpts, store.journal.len()));
+            put_varint_len(&mut enc, &self.steps);
         }
         self.record = enc.into_bytes();
         seal_frame(&mut self.record);
@@ -892,19 +937,13 @@ impl DiskShelf {
         Ok(())
     }
 
-    /// After a checkpoint of `sys`: start dirty tracking on every bank and
-    /// note the stores the checkpoint covers, so the next commit can be a
-    /// log record.
+    /// After a checkpoint of `sys`: start dirty and step tracking on every
+    /// bank, so the next commit can be a log record.
     fn arm_log(&mut self, sys: &mut MultiBankSystem<ServerScheme>) {
-        self.log.stores = sys
-            .banks_mut()
-            .iter_mut()
-            .map(|mc| {
-                mc.bank_mut().track_dirty();
-                let scheme = mc.scheme();
-                Some((scheme.checkpoints_installed(), scheme.store().journal.len()))
-            })
-            .collect();
+        for mc in sys.banks_mut() {
+            mc.bank_mut().track_dirty();
+            mc.scheme_mut().track_steps();
+        }
     }
 
     /// Load the newest valid checkpoint and fold in the log records after
@@ -937,6 +976,7 @@ impl DiskShelf {
                 .unwrap_or_default();
         }
         let log = merge_logs(&copies).map_err(ShelfError::Decode)?;
+        let mut replay = LogReplay::new(state.banks.len());
         for (src, range) in log.payloads {
             let payload = &copies[src][range];
             let seq = Dec::new(payload).varint().map_err(ShelfError::Decode)?;
@@ -948,8 +988,11 @@ impl DiskShelf {
                     "shelf log skips a commit",
                 )));
             }
-            state.apply_record(payload).map_err(ShelfError::Decode)?;
+            replay
+                .apply(&mut state, payload)
+                .map_err(ShelfError::Decode)?;
         }
+        scrub.replayed_steps = replay.finish(&mut state);
         scrub.healed_log = log.rotten_copy;
         scrub.dropped_tail = log.dropped_tail;
         Ok(Some((state, scrub)))
@@ -1053,20 +1096,16 @@ pub fn save_with_healing(
     policy: &RetryPolicy,
 ) -> SaveOutcome {
     state.encode_into(&mut shelf.image);
-    save_image_with_healing(shelf, state.banks.len(), policy)
+    save_image_with_healing(shelf, policy)
 }
 
 /// [`save_with_healing`] of the image already encoded in the shelf's
 /// buffer: the one retry loop every checkpoint goes through.
-fn save_image_with_healing(
-    shelf: &mut DiskShelf,
-    banks: usize,
-    policy: &RetryPolicy,
-) -> SaveOutcome {
+fn save_image_with_healing(shelf: &mut DiskShelf, policy: &RetryPolicy) -> SaveOutcome {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match shelf.save_image(banks) {
+        match shelf.save_image() {
             Ok(()) => return SaveOutcome::Saved { attempts },
             Err(e) if e.is_no_space() => return SaveOutcome::ReadOnly(e),
             Err(e) if e.is_transient() && attempts < policy.max_attempts => {
@@ -1091,7 +1130,7 @@ pub fn checkpoint_with_healing(
     policy: &RetryPolicy,
 ) -> SaveOutcome {
     encode_live_image(&mut shelf.image, sys, stamp);
-    let outcome = save_image_with_healing(shelf, sys.bank_count(), policy);
+    let outcome = save_image_with_healing(shelf, policy);
     if let SaveOutcome::Saved { .. } = outcome {
         shelf.arm_log(sys);
     }
@@ -1471,6 +1510,55 @@ mod tests {
         &shelf.record[8..shelf.record.len() - 8]
     }
 
+    /// Eight random writes to `sys`, drawn from the splitmix64 stream `s`.
+    fn write_round(sys: &mut MultiBankSystem<ServerScheme>, s: &mut u64) {
+        for _ in 0..8 {
+            *s = srbsg_workloads::splitmix64(*s);
+            let data = match *s % 3 {
+                0 => LineData::Zeros,
+                1 => LineData::Ones,
+                _ => LineData::Mixed((*s >> 32) as u32),
+            };
+            sys.try_write((*s >> 8) % sys.logical_lines(), data)
+                .unwrap();
+        }
+    }
+
+    /// A loaded image holds the device `want` captured when both carry the
+    /// same counters, lines and wear, and restoring each with the one
+    /// re-key seed their stamps derive yields banks that agree on every
+    /// line, wear value and translated slot. (A load's stores differ from
+    /// the live ones: replayed log steps leave one snapshot.)
+    fn assert_restores_alike(got: &ShelfState, want: &ShelfState) {
+        assert_eq!(got.stamp(), want.stamp());
+        assert_eq!(got.now_ns, want.now_ns);
+        assert_eq!(got.banks.len(), want.banks.len());
+        for (g, w) in got.banks.iter().zip(&want.banks) {
+            assert_eq!((g.slots, g.sram_slot), (w.slots, w.sram_slot));
+            assert!(g.data == w.data && g.wear == w.wear, "lines or wear differ");
+        }
+        let policy = srbsg_persist::CheckpointPolicy::every_steps(8);
+        let restored = [got, want].map(|state| {
+            crate::engine::restore(state, policy, srbsg_serve::ServeConfig::default())
+                .unwrap()
+                .0
+        });
+        let [g, w] = restored.each_ref().map(|fe| fe.system().banks());
+        for (b, (g, w)) in g.iter().zip(w).enumerate() {
+            for slot in 0..g.bank().slots() {
+                assert_eq!(
+                    g.bank().read_line(slot),
+                    w.bank().read_line(slot),
+                    "bank {b}"
+                );
+                assert_eq!(g.bank().wear_of(slot), w.bank().wear_of(slot), "bank {b}");
+            }
+            for la in 0..g.logical_lines() {
+                assert_eq!(g.translate(la), w.translate(la), "bank {b} line {la}");
+            }
+        }
+    }
+
     #[test]
     fn a_record_folds_into_the_image_it_continues_and_every_cut_is_typed() {
         let (mut shelf, _handle) = mem_shelf();
@@ -1482,30 +1570,88 @@ mod tests {
         let boot = checkpoint_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
         assert_eq!(boot, SaveOutcome::Saved { attempts: 1 });
         let mut image = ShelfState::capture(&sys, stamp);
+        let mut replay = LogReplay::new(2);
         let mut s = 0x1234u64;
         for _ in 0..20 {
-            for _ in 0..8 {
-                s = srbsg_workloads::splitmix64(s);
-                let data = match s % 3 {
-                    0 => LineData::Zeros,
-                    1 => LineData::Ones,
-                    _ => LineData::Mixed((s >> 32) as u32),
-                };
-                sys.try_write((s >> 8) % sys.logical_lines(), data).unwrap();
-            }
+            write_round(&mut sys, &mut s);
             stamp.save_seq += 1;
             stamp.acked_writes += 8;
-            shelf.delta_record(&mut sys, stamp);
+            assert!(shelf.delta_record(&mut sys, stamp));
             let payload = record_payload(&shelf);
             for cut in 0..payload.len() {
-                match image.clone().apply_record(&payload[..cut]) {
+                match replay.clone().apply(&mut image.clone(), &payload[..cut]) {
                     Err(PersistError::Truncated | PersistError::Corrupt(_)) => {}
                     other => panic!("cut {cut} of {}: {other:?}", payload.len()),
                 }
             }
-            image.apply_record(payload).unwrap();
-            assert_eq!(image, ShelfState::capture(&sys, stamp));
+            replay.apply(&mut image, payload).unwrap();
+            let mut loaded = image.clone();
+            replay.clone().finish(&mut loaded);
+            assert_restores_alike(&loaded, &ShelfState::capture(&sys, stamp));
         }
+        assert!(
+            replay.banks.iter().all(Option::is_some),
+            "every bank's steps replayed"
+        );
+    }
+
+    /// A one-bank log record at `save_seq` that carries no slot and the
+    /// step descriptors `steps`, framed.
+    fn forged_record(save_seq: u64, steps: &[u8]) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.u64(0);
+        for field in [save_seq, 0, 0, 0, 1, 0] {
+            enc.varint(field);
+        }
+        put_varint_len(&mut enc, steps);
+        let mut frame = enc.into_bytes();
+        seal_frame(&mut frame);
+        frame
+    }
+
+    #[test]
+    fn a_step_whose_destination_the_record_does_not_carry_is_a_typed_corruption() {
+        let (mut shelf, handle) = mem_shelf();
+        let mut sys = device(1, 6);
+        let stamp = CommitStamp {
+            save_seq: 1,
+            ..CommitStamp::default()
+        };
+        let boot = checkpoint_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
+        assert_eq!(boot, SaveOutcome::Saved { attempts: 1 });
+        // An outer DFN step (payload 0) and an inner step of sub-region 0
+        // (payload 1): each moves a line into a slot the record omits.
+        for payload in [0u32, 1] {
+            let mut steps = vec![4];
+            steps.extend_from_slice(&payload.to_le_bytes());
+            let frame = forged_record(2, &steps);
+            handle.with(|m| {
+                for log in SHELF_LOGS {
+                    m.write(log, &frame).unwrap();
+                }
+                m.sync().unwrap();
+            });
+            assert_eq!(
+                DiskShelf::with_media(Box::new(handle.clone())).load(),
+                Err(ShelfError::Decode(PersistError::Corrupt(
+                    "shelf log step writes a slot its record does not carry"
+                ))),
+                "payload {payload}"
+            );
+        }
+        // The same record without the step loads.
+        let frame = forged_record(2, &[]);
+        handle.with(|m| {
+            for log in SHELF_LOGS {
+                m.write(log, &frame).unwrap();
+            }
+            m.sync().unwrap();
+        });
+        let (back, _) = DiskShelf::with_media(Box::new(handle.clone()))
+            .load()
+            .unwrap()
+            .unwrap();
+        assert_eq!(back.save_seq, 2);
     }
 
     #[test]
@@ -1523,17 +1669,14 @@ mod tests {
             ("overlong dirty count", &[0x80, 0x00]),
             ("slot out of range", &[1, 16, 0, 0, 0]),
             ("unknown line kind", &[1, 3, 7, 0, 0]),
-            ("snapshot slot out of range", &[0, STORE_SLOT, 2, 0, 0, 0]),
-            ("unknown store tag", &[0, 9]),
-            (
-                "overlong suffix length",
-                &[0, STORE_SUFFIX, 0x81, 0x80, 0x00],
-            ),
+            ("overlong steps length", &[0, 0x81, 0x80, 0x00]),
+            ("a step onto an undecodable store", &[0, 5, 4, 0, 0, 0, 0]),
+            ("trailing bytes", &[0, 0, 9]),
         ];
         for (what, bank) in cases {
             let mut enc = header();
             enc.bytes(bank);
-            match state.clone().apply_record(enc.as_bytes()) {
+            match LogReplay::new(1).apply(&mut state.clone(), enc.as_bytes()) {
                 Err(PersistError::Corrupt(_)) => {}
                 other => panic!("{what}: {other:?}"),
             }
@@ -1541,7 +1684,7 @@ mod tests {
     }
 
     #[test]
-    fn one_journal_checkpoint_logs_its_slot_and_two_log_the_whole_store() {
+    fn a_log_across_journal_checkpoints_reloads_to_the_live_device() {
         let (mut shelf, handle) = mem_shelf();
         let mut sys = device(2, 6);
         let mut stamp = CommitStamp {
@@ -1550,47 +1693,52 @@ mod tests {
         };
         let boot = checkpoint_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
         assert_eq!(boot, SaveOutcome::Saved { attempts: 1 });
-        // (journal checkpoints on bank 0 before the commit, its store tag)
-        for (ckpts, tag) in [
-            (1, STORE_SLOT),
-            (0, STORE_SUFFIX),
-            (2, STORE_WHOLE),
-            (1, STORE_SLOT),
-        ] {
-            for _ in 0..ckpts {
-                sys.bank_mut(0).scheme_mut().checkpoint().unwrap();
+        let checkpoint = handle.with(|m| m.read(SHELF_SLOTS[0]).unwrap());
+        let installed = |sys: &MultiBankSystem<ServerScheme>| {
+            sys.banks()
+                .iter()
+                .map(|mc| mc.scheme().checkpoints_installed())
+                .collect::<Vec<_>>()
+        };
+        let before = installed(&sys);
+        let mut s = 0xC0FFEEu64;
+        for round in 0..24 {
+            write_round(&mut sys, &mut s);
+            // Two extra journal checkpoints on bank 0 between commits.
+            if round % 4 == 1 {
+                for _ in 0..2 {
+                    sys.bank_mut(0).scheme_mut().checkpoint().unwrap();
+                }
             }
             stamp.save_seq += 1;
+            stamp.acked_writes += 8;
             let outcome = commit_with_healing(&mut shelf, &mut sys, stamp, &NO_SLEEP);
             assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 });
-            // No slot is dirty: the header's five varints, then bank 0's
-            // empty dirty count and its store tag, then bank 1 with no
-            // change.
-            let payload = record_payload(&shelf);
-            let mut dec = Dec::new(payload);
-            for _ in 0..5 {
-                dec.varint().unwrap();
-            }
-            let at = payload.len() - dec.remaining();
-            assert_eq!(&payload[at..at + 2], &[0, tag], "{ckpts} checkpoints");
-            assert_eq!(&payload[payload.len() - 3..], &[0, STORE_SUFFIX, 0]);
             let (back, _) = DiskShelf::with_media(Box::new(handle.clone()))
                 .load()
                 .unwrap()
                 .unwrap();
-            assert_eq!(
-                back,
-                ShelfState::capture(&sys, stamp),
-                "{ckpts} checkpoints"
+            assert_restores_alike(&back, &ShelfState::capture(&sys, stamp));
+        }
+        assert_eq!(
+            handle.with(|m| m.read(SHELF_SLOTS[0]).unwrap()),
+            checkpoint,
+            "every commit was a log record"
+        );
+        for (b, (now, then)) in installed(&sys).iter().zip(before).enumerate() {
+            assert!(
+                now - then >= 3,
+                "bank {b}: {} journal checkpoints",
+                now - then
             );
         }
     }
 
     #[test]
-    fn a_version_2_checkpoint_is_refused_as_unsupported() {
+    fn a_version_3_checkpoint_is_refused_as_unsupported() {
         let (mut shelf, handle) = mem_shelf();
         let mut old = sample_state().encode();
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        old[8..12].copy_from_slice(&3u32.to_le_bytes());
         let body = old.len() - 8;
         let crc = crc64(&old[..body]);
         old[body..].copy_from_slice(&crc.to_le_bytes());
