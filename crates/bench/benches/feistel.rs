@@ -2,11 +2,11 @@
 //! lane-parallel `encrypt_batch` kernel across network widths and stage
 //! counts — the hot loop under every figure sweep and the sharded runner.
 //!
-//! Besides the criterion report, the bench writes a machine-readable
-//! summary (median translations/sec for both paths plus the speedup, per
-//! width × stages cell) to `BENCH_feistel.json`. The committed copy
-//! lives at `results/BENCH_feistel.json` so the perf trajectory is
-//! tracked across PRs. Knobs (see the crate docs):
+//! Besides the criterion report, the bench writes a summary (median
+//! translations/sec of each path per width × stages cell) to
+//! `BENCH_feistel.json`. The committed copy lives at
+//! `results/BENCH_feistel.json` so the perf trajectory is tracked across
+//! changes. Knobs (see the crate docs):
 //!
 //! - `SRBSG_BENCH_QUICK=1` — fewer repetitions (CI smoke mode).
 //! - `SRBSG_BENCH_JSON_DIR=DIR` — where the summary goes.
@@ -16,7 +16,7 @@
 use criterion::{black_box, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use srbsg_bench::{assert_gate, median_rate, quick, write_summary};
+use srbsg_bench::{assert_gate, median_rate, quick, write_summary, Summary};
 use srbsg_feistel::{AddressPermutation, FeistelNetwork};
 
 const WIDTHS: [u32; 5] = [10, 15, 20, 25, 30];
@@ -65,7 +65,8 @@ fn main() {
     });
     g.finish();
 
-    let mut entries = Vec::new();
+    let mut summary = Summary::new("feistel_translate");
+    summary.param("buf", BUF).param("reps", reps);
     let mut gate_ok = true;
     for &width in &WIDTHS {
         for &stages in &STAGES {
@@ -86,11 +87,14 @@ fn main() {
                 "feistel_translate/w{width}_s{stages}: scalar {scalar:.0}/s, \
                  batch {batch:.0}/s, speedup {speedup:.2}x"
             );
-            entries.push(format!(
-                "{{\"width\": {width}, \"stages\": {stages}, \
-                 \"scalar_per_sec\": {scalar:.0}, \"batch_per_sec\": {batch:.0}, \
-                 \"speedup\": {speedup:.2}}}"
-            ));
+            for (path, rate) in [("scalar", scalar), ("batch", batch)] {
+                let cell = vec![
+                    ("width", width.into()),
+                    ("stages", stages.into()),
+                    ("path", path.into()),
+                ];
+                summary.row(cell, rate, "translations/s");
+            }
             if speedup < 1.0 {
                 eprintln!("GATE: batch slower than scalar at width {width}, stages {stages}");
                 gate_ok = false;
@@ -101,13 +105,7 @@ fn main() {
             }
         }
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\"bench\": \"feistel_translate\", \"buf\": {BUF}, \"reps\": {reps}, \
-         \"cores\": {cores}, \"results\": [{}]}}\n",
-        entries.join(", ")
-    );
-    write_summary("BENCH_feistel.json", &json);
+    write_summary("BENCH_feistel.json", &summary);
     if assert_gate() {
         assert!(gate_ok, "feistel bench gate failed (see GATE lines above)");
     }

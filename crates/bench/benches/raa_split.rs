@@ -3,14 +3,14 @@
 //! (`srbsg_raa_lifetime_split`) at 1, 2, 4, and 8 workers — one trial
 //! fanned over all cores instead of trials fanned over seeds.
 //!
-//! Besides the criterion report, the bench writes a machine-readable
-//! summary (median trials/sec per engine × worker count, plus the core
-//! count the numbers were taken on) to `BENCH_raa_split.json`. The
-//! committed copy lives at `results/BENCH_raa_split.json`; like
-//! `BENCH_sharded.json`, speedup only shows on multi-core hosts (the CI
-//! artifact carries the multi-core numbers), while the output is
-//! byte-identical at any worker count either way — that part is what the
-//! determinism gates check. Knobs (see the crate docs):
+//! Besides the criterion report, the bench writes a summary (median
+//! trials/sec per engine × worker count, stamped with the host's core
+//! count) to `BENCH_raa_split.json`. The committed copy lives at
+//! `results/BENCH_raa_split.json`; like `BENCH_sharded.json`, speedup
+//! only shows on multi-core hosts (the CI artifact carries the
+//! multi-core numbers), while the output is byte-identical at any worker
+//! count either way — that part is what the determinism gates check.
+//! Knobs (see the crate docs):
 //!
 //! - `SRBSG_BENCH_QUICK=1` — smaller platform, fewer repetitions
 //!   (CI smoke mode).
@@ -20,7 +20,7 @@
 //!   host has ≥4 cores, and ≥3× at jobs=8 when it has ≥8.
 
 use criterion::{black_box, Criterion};
-use srbsg_bench::{assert_gate, median_rate, quick, write_summary};
+use srbsg_bench::{assert_gate, median_rate, quick, write_summary, Summary};
 use srbsg_lifetime::{srbsg_raa_lifetime, srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -65,11 +65,15 @@ fn main() {
     // Self-timed medians for the JSON artifact (the criterion shim keeps
     // its samples internal). Seeds vary per repetition so no engine can
     // win on a lucky early failure.
+    let mut summary = Summary::new("raa_split_lifetime");
+    summary
+        .param("width", params.width())
+        .param("endurance", params.endurance)
+        .param("reps", reps);
     let legacy = median_rate(|s| srbsg_raa_lifetime(&params, &cfg, s).writes, 1.0, reps);
     println!("raa_split_lifetime/legacy_serial: {legacy:.2} trials/sec");
-    let mut entries = vec![format!(
-        "{{\"engine\": \"legacy\", \"jobs\": 1, \"trials_per_sec\": {legacy:.2}}}"
-    )];
+    let cell = |engine: &str, jobs: usize| vec![("engine", engine.into()), ("jobs", jobs.into())];
+    summary.row(cell("legacy", 1), legacy, "trials/s");
     let mut split_rates = Vec::new();
     for &jobs in &JOB_COUNTS {
         let rate = median_rate(
@@ -82,21 +86,11 @@ fn main() {
              ({:.2}x vs legacy)",
             rate / legacy
         );
-        entries.push(format!(
-            "{{\"engine\": \"split\", \"jobs\": {jobs}, \"trials_per_sec\": {rate:.2}}}"
-        ));
+        summary.row(cell("split", jobs), rate, "trials/s");
         split_rates.push((jobs, rate));
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\"bench\": \"raa_split_lifetime\", \"width\": {}, \"endurance\": {}, \
-         \"reps\": {reps}, \"cores\": {cores}, \"results\": [{}]}}\n",
-        params.width(),
-        params.endurance,
-        entries.join(", ")
-    );
-    write_summary("BENCH_raa_split.json", &json);
+    let cores = write_summary("BENCH_raa_split.json", &summary).cores;
 
     let mut gate_ok = true;
     let split_j1 = split_rates[0].1;

@@ -1,15 +1,16 @@
 //! Sharded trace-runner throughput: events/sec of the bank-sharded
 //! execution engine at 1, 2, 4, and 8 workers over an 8-bank system.
 //!
-//! Besides the criterion report, the bench writes a machine-readable
-//! summary (median events/sec per worker count, plus the core count the
-//! numbers were taken on) to `BENCH_sharded.json`, in
-//! `SRBSG_BENCH_JSON_DIR` when that is set (see the crate docs). Speedup
-//! only shows on multi-core hosts; the output is byte-identical at any worker count
-//! either way, which is what the determinism gates check.
+//! Besides the criterion report, the bench writes a summary (median
+//! events/sec per worker count, stamped with the host's core count) to
+//! `BENCH_sharded.json`, in `SRBSG_BENCH_JSON_DIR` when that is set (see
+//! the crate docs). The committed copy lives at
+//! `results/BENCH_sharded.json`. Speedup only shows on multi-core hosts;
+//! the output is byte-identical at any worker count either way, which is
+//! what the determinism gates check.
 
 use criterion::{black_box, Criterion};
-use srbsg_bench::{median_rate, write_summary};
+use srbsg_bench::{median_rate, write_summary, Summary};
 use srbsg_pcm::{MultiBankSystem, TimingModel};
 use srbsg_wearlevel::StartGap;
 use srbsg_workloads::{ShardedTraceRunner, WorkloadSpec};
@@ -17,6 +18,7 @@ use srbsg_workloads::{ShardedTraceRunner, WorkloadSpec};
 const BANKS: usize = 8;
 const LINES_PER_BANK: u64 = 1 << 10;
 const EVENTS_PER_BANK: u64 = 20_000;
+const REPS: usize = 5;
 
 fn run_once(jobs: usize) -> u128 {
     let spec = WorkloadSpec::Zipf {
@@ -56,20 +58,16 @@ fn main() {
     // Self-timed medians for the JSON artifact (the criterion shim keeps
     // its samples internal).
     let total_events = BANKS as u64 * EVENTS_PER_BANK;
-    let mut entries = Vec::new();
+    let mut summary = Summary::new("sharded_runner");
+    summary
+        .param("banks", BANKS)
+        .param("lines_per_bank", LINES_PER_BANK)
+        .param("events_per_bank", EVENTS_PER_BANK)
+        .param("reps", REPS);
     for &jobs in &job_counts {
-        let median = median_rate(|_| run_once(jobs), total_events as f64, 5);
+        let median = median_rate(|_| run_once(jobs), total_events as f64, REPS);
         println!("sharded_runner/jobs{jobs}: {median:.0} events/sec");
-        entries.push(format!(
-            "{{\"jobs\": {jobs}, \"events_per_sec\": {median:.0}}}"
-        ));
+        summary.row(vec![("jobs", jobs.into())], median, "events/s");
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\"bench\": \"sharded_runner\", \"banks\": {BANKS}, \
-         \"lines_per_bank\": {LINES_PER_BANK}, \"events_per_bank\": {EVENTS_PER_BANK}, \
-         \"cores\": {cores}, \"results\": [{}]}}\n",
-        entries.join(", ")
-    );
-    write_summary("BENCH_sharded.json", &json);
+    write_summary("BENCH_sharded.json", &summary);
 }

@@ -13,27 +13,23 @@
 //!    produce a typed error (or a clean drop for the truncation) and
 //!    leave the server answering pings; then a `SIGTERM` drain must
 //!    exit 0.
-//! 2. **steady bench (UDS)** — open-loop load at 1/2/4 connections;
-//!    goodput and latency percentiles recorded per phase.
-//! 3. **SIGKILL chaos** — open-loop load in the background; once enough
-//!    writes are acknowledged the server is killed with `SIGKILL`,
+//! 2. **SIGKILL chaos (UDS)** — open-loop load in the background; once
+//!    enough writes are acknowledged the server is killed with `SIGKILL`,
 //!    restarted on the same endpoint, and the load phase runs to
 //!    completion across the gap (client-side backoff + resend).
-//! 4. **SIGTERM-under-load chaos** — same, but the server is asked to
+//! 3. **SIGTERM-under-load chaos** — same, but the server is asked to
 //!    drain gracefully mid-load and must exit 0 before the restart.
-//! 5. **post-restart bench** — 1/2/4 connections again, on the
-//!    recovered, re-keyed instance.
-//! 6. **audit** — final drain + restart, then every address that ever
+//! 4. **audit** — final drain + restart, then every address that ever
 //!    carried an acknowledged write is read back: the device must hold
 //!    the last acked tag, or an unresolved (never-acknowledged) tag from
 //!    the same phase or later. Anything else is a lost acked write, and
 //!    the harness panics — that is the CI gate.
 //!
-//! Results go to `results/servebin.csv` and `results/BENCH_server.json`.
-//! The server/loadgen binaries are found next to the `experiments`
-//! binary, or via `SRBSG_SERVER_BIN` / `SRBSG_LOADGEN_BIN`.
+//! This is a gate, not a benchmark: `results/servebin.csv` records each
+//! phase's request counts and no timing; `perfbench` measures the
+//! server's speed. The server/loadgen binaries are found next to the
+//! `experiments` binary, or via `SRBSG_SERVER_BIN` / `SRBSG_LOADGEN_BIN`.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -50,8 +46,6 @@ use crate::Opts;
 struct Scale {
     banks: usize,
     width: u32,
-    lines: u64,
-    bench_requests: usize,
     chaos_requests: usize,
     chaos_conns: usize,
     kill_after_writes: u64,
@@ -64,8 +58,6 @@ impl Scale {
             Self {
                 banks: 2,
                 width: 6,
-                lines: 2 << 6,
-                bench_requests: 400,
                 chaos_requests: 1200,
                 chaos_conns: 2,
                 kill_after_writes: 150,
@@ -75,8 +67,6 @@ impl Scale {
             Self {
                 banks: 4,
                 width: 8,
-                lines: 4 << 8,
-                bench_requests: 2000,
                 chaos_requests: 3000,
                 chaos_conns: 4,
                 kill_after_writes: 600,
@@ -146,8 +136,6 @@ fn start_server(bins: &Bins, scale: &Scale, dir: &std::path::Path, listen: &str)
             "4",
             "--seed",
             "0xC4A05",
-            "--checkpoint-every",
-            "64",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
@@ -182,22 +170,12 @@ impl Server {
     }
 }
 
-/// One finished load phase: its name plus the parsed loadgen report.
-struct Phase {
-    name: String,
-    conns: usize,
-    report: LoadReport,
-    kv: HashMap<String, String>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Start the chaos load (70% writes) in the background; its report goes
+/// to `report`.
 fn spawn_loadgen(
     bins: &Bins,
     ep_str: &str,
     scale: &Scale,
-    conns: usize,
-    requests: usize,
-    write_ratio: f64,
     tag_base: u32,
     report: &std::path::Path,
 ) -> Child {
@@ -206,13 +184,13 @@ fn spawn_loadgen(
             "--connect",
             ep_str,
             "--lines",
-            &scale.lines.to_string(),
+            &((scale.banks as u64) << scale.width).to_string(),
             "--conns",
-            &conns.to_string(),
+            &scale.chaos_conns.to_string(),
             "--requests",
-            &requests.to_string(),
+            &scale.chaos_requests.to_string(),
             "--write-ratio",
-            &write_ratio.to_string(),
+            "0.7",
             "--gap-us",
             "20",
             "--window",
@@ -232,18 +210,13 @@ fn spawn_loadgen(
         .expect("spawn srbsg-loadgen")
 }
 
-fn finish_loadgen(mut child: Child, report: &std::path::Path, name: &str, conns: usize) -> Phase {
+/// Wait for a load phase to end and parse its report.
+fn finish_loadgen(mut child: Child, report: &std::path::Path, name: &str) -> LoadReport {
     let status = child.wait().expect("wait for loadgen");
     assert_eq!(status.code(), Some(0), "{name}: loadgen must exit 0");
     let text = std::fs::read_to_string(report)
         .unwrap_or_else(|e| panic!("{name}: read report {}: {e}", report.display()));
-    let (rep, kv) = LoadReport::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-    Phase {
-        name: name.to_string(),
-        conns,
-        report: rep,
-        kv,
-    }
+    LoadReport::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// Current acked-write count as seen over the wire; `None` while the
@@ -376,104 +349,35 @@ pub fn run(opts: &Opts) {
     let ep_str = format!("uds:{}", dir.join("srv.sock").display());
     let ep = Endpoint::parse(&ep_str).unwrap();
 
-    let mut phases: Vec<Phase> = Vec::new();
-    let mut tag_seq = 0u32;
-    let mut next_tag_base = || {
-        tag_seq += 1;
-        tag_seq << 16
-    };
-    let report_path = |name: &str| root.join(format!("report_{name}.txt"));
-
-    let mut srv = start_server(&bins, &scale, &dir, &ep_str);
+    let srv = start_server(&bins, &scale, &dir, &ep_str);
     wait_ready(&ep);
 
-    println!("== servebin: steady bench (1/2/4 connections) ==");
-    for conns in [1usize, 2, 4] {
-        let name = format!("steady-{conns}c");
-        let rp = report_path(&name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            conns,
-            scale.bench_requests,
-            0.5,
-            next_tag_base(),
-            &rp,
+    // A chaos phase loads the server in the background, interrupts it once
+    // enough more writes are acked, restarts it on the same endpoint, and
+    // lets the load run to completion across the gap (client-side backoff
+    // + resend).
+    let chaos = |srv: Server, name: &'static str, tag_base: u32, interrupt: fn(Server)| {
+        let base = served_writes(&ep).expect("stats before chaos");
+        let rp = root.join(format!("report_{name}.txt"));
+        let child = spawn_loadgen(&bins, &ep_str, &scale, tag_base, &rp);
+        wait_for_writes(&ep, base + scale.kill_after_writes, name);
+        interrupt(srv);
+        let srv = start_server(&bins, &scale, &dir, &ep_str);
+        wait_ready(&ep);
+        let report = finish_loadgen(child, &rp, name);
+        assert!(
+            report.reconnects > 0,
+            "{name}: the load generator must have reconnected across the restart"
         );
-        phases.push(finish_loadgen(child, &rp, &name, conns));
-    }
-
+        (srv, (name, report))
+    };
     println!("== servebin: SIGKILL mid-load, restart, finish ==");
-    let base = served_writes(&ep).expect("stats before chaos");
-    {
-        let name = "chaos-sigkill";
-        let rp = report_path(name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            scale.chaos_conns,
-            scale.chaos_requests,
-            0.7,
-            next_tag_base(),
-            &rp,
-        );
-        wait_for_writes(&ep, base + scale.kill_after_writes, name);
-        srv.sigkill();
-        srv = start_server(&bins, &scale, &dir, &ep_str);
-        wait_ready(&ep);
-        let phase = finish_loadgen(child, &rp, name, scale.chaos_conns);
-        assert!(
-            phase.report.reconnects > 0,
-            "{name}: the load generator must have reconnected across the kill"
-        );
-        phases.push(phase);
-    }
-
+    let (srv, killed) = chaos(srv, "chaos-sigkill", 1 << 16, Server::sigkill);
     println!("== servebin: SIGTERM drain under load, restart, finish ==");
-    let base = served_writes(&ep).expect("stats before drain chaos");
-    {
-        let name = "chaos-sigterm";
-        let rp = report_path(name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            scale.chaos_conns,
-            scale.chaos_requests,
-            0.7,
-            next_tag_base(),
-            &rp,
-        );
-        wait_for_writes(&ep, base + scale.kill_after_writes, name);
-        srv.sigterm_expect_clean_exit("drain under load");
-        srv = start_server(&bins, &scale, &dir, &ep_str);
-        wait_ready(&ep);
-        let phase = finish_loadgen(child, &rp, name, scale.chaos_conns);
-        assert!(
-            phase.report.reconnects > 0,
-            "{name}: the load generator must have reconnected across the drain"
-        );
-        phases.push(phase);
-    }
-
-    println!("== servebin: post-restart bench (1/2/4 connections) ==");
-    for conns in [1usize, 2, 4] {
-        let name = format!("restart-{conns}c");
-        let rp = report_path(&name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            conns,
-            scale.bench_requests,
-            0.5,
-            next_tag_base(),
-            &rp,
-        );
-        phases.push(finish_loadgen(child, &rp, &name, conns));
-    }
+    let (srv, drained) = chaos(srv, "chaos-sigterm", 2 << 16, |srv| {
+        srv.sigterm_expect_clean_exit("drain under load")
+    });
+    let phases = [killed, drained];
 
     println!("== servebin: final drain + audit restart ==");
     srv.sigterm_expect_clean_exit("final drain");
@@ -492,11 +396,11 @@ pub fn run(opts: &Opts) {
     // acked tag, or a tag left unresolved (in flight when the server died)
     // in that phase or a later one.
     let mut ledger = AckLedger::default();
-    for (pi, phase) in phases.iter().enumerate() {
-        for (&la, &tag) in &phase.report.acked {
+    for (pi, (_, report)) in phases.iter().enumerate() {
+        for (&la, &tag) in &report.acked {
             ledger.ack(la, LineData::Mixed(tag), pi);
         }
-        for (&la, tags) in &phase.report.unresolved {
+        for (&la, tags) in &report.unresolved {
             for &tag in tags {
                 ledger.unresolved(la, LineData::Mixed(tag), pi);
             }
@@ -521,7 +425,6 @@ pub fn run(opts: &Opts) {
         phases.len()
     );
 
-    // Table + CSV.
     let mut t = Table::new(
         "servebin: real-process chaos phases",
         &[
@@ -531,61 +434,20 @@ pub fn run(opts: &Opts) {
             "acked_writes",
             "errors",
             "reconnects",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "goodput_rps",
         ],
     );
-    let kv = |p: &Phase, k: &str| p.kv.get(k).cloned().unwrap_or_else(|| "0".into());
-    for p in &phases {
+    for (name, report) in &phases {
         t.row(vec![
-            p.name.clone(),
-            p.conns.to_string(),
-            p.report.sent.to_string(),
-            p.report.acked_writes.to_string(),
-            p.report.errors.to_string(),
-            p.report.reconnects.to_string(),
-            kv(p, "p50_us"),
-            kv(p, "p99_us"),
-            kv(p, "p999_us"),
-            kv(p, "goodput_rps"),
+            name.to_string(),
+            scale.chaos_conns.to_string(),
+            report.sent.to_string(),
+            report.acked_writes.to_string(),
+            report.errors.to_string(),
+            report.reconnects.to_string(),
         ]);
     }
     t.print();
     t.write_csv(&opts.out_dir, "servebin");
-
-    // Machine-readable bench summary (same shape family as the other
-    // BENCH_*.json artifacts).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let entry = |p: &Phase| {
-        format!(
-            "{{\"phase\": \"{}\", \"conns\": {}, \"goodput_rps\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-             \"acked_writes\": {}, \"reconnects\": {}}}",
-            p.name,
-            p.conns,
-            kv(p, "goodput_rps"),
-            kv(p, "p50_us"),
-            kv(p, "p99_us"),
-            kv(p, "p999_us"),
-            p.report.acked_writes,
-            p.report.reconnects
-        )
-    };
-    let json = format!(
-        "{{\"bench\": \"srbsg_server\", \"quick\": {}, \"cores\": {cores}, \
-         \"banks\": {}, \"lines\": {}, \"malformed_frames_fuzzed\": {malformed}, \
-         \"audited_addresses\": {audited}, \"lost_acked_writes\": {lost}, \
-         \"final_generation\": {generation}, \"phases\": [{}]}}\n",
-        opts.quick,
-        scale.banks,
-        scale.lines,
-        phases.iter().map(entry).collect::<Vec<_>>().join(", ")
-    );
-    let path = PathBuf::from(&opts.out_dir).join("BENCH_server.json");
-    std::fs::write(&path, json).expect("write bench summary");
-    eprintln!("[wrote {}]", path.display());
 
     let _ = std::fs::remove_dir_all(&root);
 }

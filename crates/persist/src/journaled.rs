@@ -50,9 +50,8 @@ use srbsg_pcm::{
 pub const MAX_STEPS_PER_WRITE: u64 = 2;
 
 /// When `Journaled` should compact its store automatically. Checked after
-/// every demand write; a checkpoint fires when *either* bound is crossed.
-/// The default policy has no bounds — the journal grows until an explicit
-/// [`Journaled::checkpoint`], matching the pre-policy behaviour.
+/// every demand write. The default policy has no bound — the journal grows
+/// until an explicit [`Journaled::checkpoint`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Compact once roughly this many steps have been journaled since the
@@ -60,8 +59,6 @@ pub struct CheckpointPolicy {
     /// [`CheckpointPolicy::slo_steps`], not `K` itself, because one demand
     /// write can commit up to [`MAX_STEPS_PER_WRITE`] steps.
     pub every_steps: Option<u64>,
-    /// Compact once the journal region holds at least this many bytes.
-    pub journal_bytes: Option<u64>,
 }
 
 impl CheckpointPolicy {
@@ -69,15 +66,6 @@ impl CheckpointPolicy {
     pub fn every_steps(k: u64) -> Self {
         Self {
             every_steps: Some(k.max(1)),
-            journal_bytes: None,
-        }
-    }
-
-    /// Compact once the journal holds `bytes` bytes.
-    pub fn journal_bytes(bytes: u64) -> Self {
-        Self {
-            every_steps: None,
-            journal_bytes: Some(bytes.max(1)),
         }
     }
 
@@ -89,16 +77,13 @@ impl CheckpointPolicy {
     }
 
     /// Whether a checkpoint is due, given the steps journaled since the
-    /// last checkpoint and the current journal size. The step trigger
-    /// fires one step *early* (`K - 1`) so that the following write —
-    /// which may commit [`MAX_STEPS_PER_WRITE`] steps before the policy
-    /// can run again — cannot push the journal past the SLO.
-    pub fn due(&self, steps_since_checkpoint: u64, journal_len: u64) -> bool {
-        let step_due = self
-            .every_steps
-            .is_some_and(|k| steps_since_checkpoint >= (k - 1).max(1));
-        let byte_due = self.journal_bytes.is_some_and(|b| journal_len >= b);
-        step_due || byte_due
+    /// last checkpoint. The trigger fires one step *early* (`K - 1`) so
+    /// that the following write — which may commit
+    /// [`MAX_STEPS_PER_WRITE`] steps before the policy can run again —
+    /// cannot push the journal past the SLO.
+    pub fn due(&self, steps_since_checkpoint: u64) -> bool {
+        self.every_steps
+            .is_some_and(|k| steps_since_checkpoint >= (k - 1).max(1))
     }
 }
 
@@ -191,12 +176,6 @@ impl<W: JournaledScheme> Journaled<W> {
         let mut jw = Self::new(scheme);
         jw.policy = policy;
         jw
-    }
-
-    /// Install (or clear, with the default no-bound policy) the automatic
-    /// checkpoint policy.
-    pub fn set_checkpoint_policy(&mut self, policy: CheckpointPolicy) {
-        self.policy = policy;
     }
 
     /// The automatic checkpoint policy in force.
@@ -293,10 +272,7 @@ impl<W: JournaledScheme> Journaled<W> {
     /// Run the checkpoint policy (called after each demand write).
     /// Returns whether a checkpoint was installed.
     fn maybe_checkpoint(&mut self) -> Result<bool, PersistError> {
-        if !self.policy.due(
-            self.steps_since_checkpoint(),
-            self.persistor.store().journal_bytes(),
-        ) {
+        if !self.policy.due(self.steps_since_checkpoint()) {
             return Ok(false);
         }
         self.checkpoint()?;

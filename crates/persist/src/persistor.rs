@@ -215,11 +215,6 @@ impl Store {
     pub fn snapshot_bytes(&self) -> u64 {
         self.active_slot().map_or(0, |s| self.slots[s].len() as u64)
     }
-
-    /// Bytes currently in the journal region.
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal.len() as u64
-    }
 }
 
 /// Journaling sink with optional crash injection. See the module docs.

@@ -60,28 +60,6 @@ fn step_policy_bounds_the_journal_at_every_point() {
 }
 
 #[test]
-fn byte_policy_bounds_the_journal_region() {
-    let cap = 4096u64;
-    let mut mc = mc_with(CheckpointPolicy::journal_bytes(cap));
-    let mut peak = 0u64;
-    for i in 0..800u64 {
-        mc.write(i % 16, LineData::Mixed(i as u32));
-        peak = peak.max(mc.scheme().store().journal.len() as u64);
-    }
-    assert!(
-        mc.scheme().checkpoints_installed() > 0,
-        "policy never fired"
-    );
-    // One demand write can append at most a couple of step+commit frames
-    // past the threshold before the policy runs; the bound is cap plus
-    // that slack, far below an unbounded journal.
-    assert!(
-        peak < cap + 2048,
-        "journal peaked at {peak} bytes against a {cap}-byte policy"
-    );
-}
-
-#[test]
 fn checkpoint_after_power_loss_is_typed_not_a_panic() {
     let mut jw = Journaled::new(srbsg());
     jw.power_cut();

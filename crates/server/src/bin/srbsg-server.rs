@@ -26,14 +26,7 @@ FLAGS:
     --idle-timeout-ms MS   idle connection timeout     [30000]
     --frame-timeout-ms MS  mid-frame (slow-loris) timeout [5000]
     --deadline-ns NS       per-request simulated deadline budget [none]
-    --checkpoint-every K   remap steps between checkpoints of each
-                           bank's in-memory journal; the shelf logs
-                           step descriptors, so this bounds only that
-                           journal's memory             [128]
     -h, --help             this text
-
-ENV:
-    SRBSG_SERVER_BATCH     max requests per commit     [64]
 
 The server prints one line on startup:
     srbsg-server listening on <endpoint> pid=... generation=...
@@ -85,12 +78,6 @@ fn parse_args() -> Result<ServerConfig, String> {
             "--deadline-ns" => {
                 cfg.deadline_ns =
                     Some(parse_num(&next(&mut args, "--deadline-ns")?, "--deadline-ns")? as u64)
-            }
-            "--checkpoint-every" => {
-                cfg.checkpoint_every = parse_num(
-                    &next(&mut args, "--checkpoint-every")?,
-                    "--checkpoint-every",
-                )? as u64
             }
             "-h" | "--help" => {
                 print!("{USAGE}");

@@ -87,7 +87,7 @@ use crate::shelf::{
 /// The scheme stack a server bank runs.
 pub type ServerScheme = Journaled<SecurityRbsg>;
 
-/// Server configuration (CLI flags plus `SRBSG_SERVER_*` env knobs).
+/// Server configuration (the binary's CLI flags).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen endpoint.
@@ -118,11 +118,6 @@ pub struct ServerConfig {
     /// Close a connection that dribbles a single frame this long
     /// (slow-loris defense).
     pub frame_timeout: Duration,
-    /// Remap steps between checkpoints of each bank's in-memory journal.
-    /// The shelf logs steps as descriptors, not journal bytes, so this
-    /// bounds only that journal's memory and the store a shelf checkpoint
-    /// carries.
-    pub checkpoint_every: u64,
 }
 
 impl Default for ServerConfig {
@@ -141,11 +136,10 @@ impl Default for ServerConfig {
                 ..ServeConfig::default()
             },
             deadline_ns: None,
-            batch_max: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_BATCH", 1, 64),
+            batch_max: 64,
             max_conns: 64,
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(5),
-            checkpoint_every: 128,
         }
     }
 }
@@ -243,9 +237,10 @@ struct Pending {
     op: Op,
 }
 
-fn policy(cfg: &ServerConfig) -> CheckpointPolicy {
-    CheckpointPolicy::every_steps(cfg.checkpoint_every)
-}
+/// Remap steps between checkpoints of each bank's in-memory journal. The
+/// shelf logs steps as descriptors, not journal bytes, so this bounds only
+/// that journal's memory and the store a shelf checkpoint carries.
+const BANK_CHECKPOINT_STEPS: u64 = 128;
 
 /// Checkpoint a freshly built or recovered device before it serves.
 fn boot_checkpoint(
@@ -267,7 +262,7 @@ pub fn boot(
     cfg: &ServerConfig,
 ) -> std::io::Result<(FrontEnd<ServerScheme>, DiskShelf, BootReport)> {
     let mut shelf = DiskShelf::open(&cfg.data_dir, cfg.fsync)?;
-    let pol = policy(cfg);
+    let pol = CheckpointPolicy::every_steps(BANK_CHECKPOINT_STEPS);
     // `ShelfError` is typed: a corrupt image, a truncated image, and a
     // failing medium each surface distinctly in the operator log.
     let loaded = shelf.load().map_err(std::io::Error::from)?;

@@ -44,7 +44,6 @@ pub use proto::{
     FrameReader, RequestFrame, ResponseFrame, StatsWire, WireRequest, WireResponse,
 };
 pub use shelf::{
-    checkpoint_with_healing, commit_with_healing, save_with_healing, BankShelf, CommitStamp,
-    DiskShelf, RetryPolicy, SaveOutcome, ShelfError, ShelfScrub, ShelfState, SHELF_LOGS,
-    SHELF_SLOTS,
+    checkpoint_with_healing, commit_with_healing, BankShelf, CommitStamp, DiskShelf, RetryPolicy,
+    SaveOutcome, ShelfError, ShelfScrub, ShelfState, SHELF_LOGS, SHELF_SLOTS,
 };

@@ -66,7 +66,7 @@
 //! Ordering contract with the serving path: a write is acknowledged to
 //! the client only **after** the commit that contains it returns, so
 //! "acked" implies "on the shelf, twice" implies "recoverable". A commit
-//! that fails is never acked; [`save_with_healing`] classifies the
+//! that fails is never acked; [`checkpoint_with_healing`] classifies the
 //! failure — retry transient EIO with capped backoff, degrade to typed
 //! read-only on persistent ENOSPC, refuse otherwise.
 
@@ -846,7 +846,7 @@ impl DiskShelf {
     /// need not be durable, since any record it would resurrect is at or
     /// below `state.save_seq` and load skips it. Any error aborts the
     /// save; the caller must not acknowledge the writes it covers (see
-    /// [`save_with_healing`]).
+    /// [`checkpoint_with_healing`]).
     pub fn save(&mut self, state: &ShelfState) -> Result<(), MediaError> {
         state.encode_into(&mut self.image);
         self.save_image()
@@ -1045,7 +1045,7 @@ impl DiskShelf {
     }
 }
 
-/// How [`save_with_healing`] retries transient media errors.
+/// How [`checkpoint_with_healing`] retries transient media errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included).
@@ -1085,44 +1085,16 @@ pub enum SaveOutcome {
     Failed(MediaError),
 }
 
-/// Save with self-healing: retry transient EIO with capped exponential
-/// backoff, classify persistent ENOSPC as [`SaveOutcome::ReadOnly`], and
-/// report everything else as [`SaveOutcome::Failed`]. A failed attempt may
-/// have partially updated the medium; retries simply re-run the whole
-/// idempotent save protocol.
-pub fn save_with_healing(
-    shelf: &mut DiskShelf,
-    state: &ShelfState,
-    policy: &RetryPolicy,
-) -> SaveOutcome {
-    state.encode_into(&mut shelf.image);
-    save_image_with_healing(shelf, policy)
-}
-
-/// [`save_with_healing`] of the image already encoded in the shelf's
-/// buffer: the one retry loop every checkpoint goes through.
-fn save_image_with_healing(shelf: &mut DiskShelf, policy: &RetryPolicy) -> SaveOutcome {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match shelf.save_image() {
-            Ok(()) => return SaveOutcome::Saved { attempts },
-            Err(e) if e.is_no_space() => return SaveOutcome::ReadOnly(e),
-            Err(e) if e.is_transient() && attempts < policy.max_attempts => {
-                if policy.sleep {
-                    std::thread::sleep(policy.base_backoff * (1 << (attempts - 1).min(8)));
-                }
-            }
-            Err(e) => return SaveOutcome::Failed(e),
-        }
-    }
-}
-
-/// Checkpoint a serving device with self-healing ([`save_with_healing`]
-/// of its image, encoded straight from the banks) and, once it lands,
+/// Checkpoint a serving device with self-healing and, once it lands,
 /// start the delta log from it: every bank tracks its dirty slots from
 /// here on. Boot, the drain finale and [`commit_with_healing`]'s fallback
 /// all checkpoint through here.
+///
+/// The image is encoded straight from the banks, then saved: transient
+/// EIO is retried with capped exponential backoff, persistent ENOSPC is
+/// [`SaveOutcome::ReadOnly`], and everything else is
+/// [`SaveOutcome::Failed`]. A failed attempt may have partially updated
+/// the medium; retries simply re-run the whole idempotent save protocol.
 pub fn checkpoint_with_healing(
     shelf: &mut DiskShelf,
     sys: &mut MultiBankSystem<ServerScheme>,
@@ -1130,7 +1102,20 @@ pub fn checkpoint_with_healing(
     policy: &RetryPolicy,
 ) -> SaveOutcome {
     encode_live_image(&mut shelf.image, sys, stamp);
-    let outcome = save_image_with_healing(shelf, policy);
+    let mut attempts = 0u32;
+    let outcome = loop {
+        attempts += 1;
+        match shelf.save_image() {
+            Ok(()) => break SaveOutcome::Saved { attempts },
+            Err(e) if e.is_no_space() => break SaveOutcome::ReadOnly(e),
+            Err(e) if e.is_transient() && attempts < policy.max_attempts => {
+                if policy.sleep {
+                    std::thread::sleep(policy.base_backoff * (1 << (attempts - 1).min(8)));
+                }
+            }
+            Err(e) => break SaveOutcome::Failed(e),
+        }
+    };
     if let SaveOutcome::Saved { .. } = outcome {
         shelf.arm_log(sys);
     }
@@ -1366,55 +1351,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn save_with_healing_retries_transient_errors_away() {
+    /// A two-bank device checkpointed at `save_seq` 1 through
+    /// [`checkpoint_with_healing`] under `policy`, on a shelf whose medium
+    /// carries `plan` from the start.
+    fn checkpoint_under(
+        plan: Option<FaultPlan>,
+        policy: &RetryPolicy,
+    ) -> (
+        DiskShelf,
+        SharedMedia<FaultyMedia<MemMedia>>,
+        MultiBankSystem<ServerScheme>,
+        CommitStamp,
+        SaveOutcome,
+    ) {
         let (mut shelf, handle) = mem_shelf();
-        let state = sample_state();
+        if let Some(plan) = plan {
+            handle.with(|m| m.set_plan(plan));
+        }
+        let mut sys = device(2, 6);
+        let stamp = CommitStamp {
+            save_seq: 1,
+            ..CommitStamp::default()
+        };
+        let outcome = checkpoint_with_healing(&mut shelf, &mut sys, stamp, policy);
+        (shelf, handle, sys, stamp, outcome)
+    }
+
+    #[test]
+    fn checkpoint_with_healing_retries_transient_errors_away() {
         let mut plan = FaultPlan::new(FaultKind::TransientIo, 1);
         plan.burst = 2;
-        handle.with(|m| m.set_plan(plan));
         let policy = RetryPolicy {
             max_attempts: 4,
             sleep: false,
             ..RetryPolicy::default()
         };
-        match save_with_healing(&mut shelf, &state, &policy) {
+        let (mut shelf, _handle, sys, stamp, outcome) = checkpoint_under(Some(plan), &policy);
+        match outcome {
             SaveOutcome::Saved { attempts } => assert!(attempts > 1, "must have retried"),
             other => panic!("expected healed save, got {other:?}"),
         }
-        assert_eq!(shelf.load().unwrap().unwrap().0, state);
+        assert_eq!(
+            shelf.load().unwrap().unwrap().0,
+            ShelfState::capture(&sys, stamp)
+        );
     }
 
     #[test]
-    fn save_with_healing_exhausts_retries_into_failed() {
-        let (mut shelf, handle) = mem_shelf();
+    fn checkpoint_with_healing_exhausts_retries_into_failed() {
         let mut plan = FaultPlan::new(FaultKind::TransientIo, 1);
         plan.burst = 100;
-        handle.with(|m| m.set_plan(plan));
         let policy = RetryPolicy {
             max_attempts: 3,
             sleep: false,
             ..RetryPolicy::default()
         };
-        match save_with_healing(&mut shelf, &sample_state(), &policy) {
+        match checkpoint_under(Some(plan), &policy).4 {
             SaveOutcome::Failed(e) => assert!(e.is_transient()),
             other => panic!("expected failure, got {other:?}"),
         }
     }
 
     #[test]
-    fn save_with_healing_classifies_enospc_as_read_only() {
-        let (mut shelf, handle) = mem_shelf();
-        let state = sample_state();
-        shelf.save(&state).unwrap();
-        handle.with(|m| m.set_plan(FaultPlan::new(FaultKind::NoSpace, 3)));
+    fn checkpoint_with_healing_classifies_enospc_as_read_only() {
         let policy = RetryPolicy {
             sleep: false,
             ..RetryPolicy::default()
         };
-        let mut state2 = state.clone();
-        state2.save_seq += 1;
-        match save_with_healing(&mut shelf, &state2, &policy) {
+        let (mut shelf, handle, mut sys, mut stamp, outcome) = checkpoint_under(None, &policy);
+        assert_eq!(outcome, SaveOutcome::Saved { attempts: 1 });
+        let state = ShelfState::capture(&sys, stamp);
+        handle.with(|m| m.set_plan(FaultPlan::new(FaultKind::NoSpace, 3)));
+        write_round(&mut sys, &mut 0x5EED);
+        stamp.save_seq += 1;
+        match checkpoint_with_healing(&mut shelf, &mut sys, stamp, &policy) {
             SaveOutcome::ReadOnly(e) => assert!(e.is_no_space()),
             other => panic!("expected read-only degradation, got {other:?}"),
         }
@@ -1425,21 +1435,26 @@ mod tests {
 
     #[test]
     fn rename_failure_fails_the_save_and_the_retry_recovers() {
-        let (mut shelf, handle) = mem_shelf();
-        let state = sample_state();
-        handle.with(|m| m.set_plan(FaultPlan::new(FaultKind::RenameFail, 1)));
         let policy = RetryPolicy {
             sleep: false,
             ..RetryPolicy::default()
         };
-        match save_with_healing(&mut shelf, &state, &policy) {
+        let plan = FaultPlan::new(FaultKind::RenameFail, 1);
+        let (mut shelf, _handle, mut sys, stamp, outcome) = checkpoint_under(Some(plan), &policy);
+        match outcome {
             SaveOutcome::Failed(MediaError::RenameFailed) => {}
             other => panic!("expected rename failure, got {other:?}"),
         }
-        // The one-shot fault is gone; a fresh save (post-restart path)
-        // succeeds even with the stale tmp still present.
-        shelf.save(&state).unwrap();
-        assert_eq!(shelf.load().unwrap().unwrap().0, state);
+        // The one-shot fault is gone; a fresh checkpoint (post-restart
+        // path) succeeds even with the stale tmp still present.
+        assert_eq!(
+            checkpoint_with_healing(&mut shelf, &mut sys, stamp, &policy),
+            SaveOutcome::Saved { attempts: 1 }
+        );
+        assert_eq!(
+            shelf.load().unwrap().unwrap().0,
+            ShelfState::capture(&sys, stamp)
+        );
     }
 
     /// A medium whose durability barrier always fails — the
