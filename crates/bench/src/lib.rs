@@ -81,26 +81,42 @@ pub struct Host {
     pub cores: usize,
     /// Widest SIMD tier the Feistel batch kernels dispatch to.
     pub simd: &'static str,
-    /// `git rev-parse HEAD`, or `unknown` outside a git checkout.
+    /// `git rev-parse HEAD`, suffixed `-dirty` when tracked files differ
+    /// from it; `unknown` outside a git checkout.
     pub rev: String,
 }
 
 impl Host {
     /// Probe this host.
     pub fn probe() -> Self {
-        let rev = Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|| "unknown".into());
+        let git = |args: &[&str]| {
+            Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+        };
+        let head = git(&["rev-parse", "HEAD"]);
+        let status = git(&["status", "--porcelain", "--untracked-files=no"]);
         Self {
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             simd: simd_tier(),
-            rev,
+            rev: revision(head.as_deref(), status.as_deref()),
         }
+    }
+}
+
+/// The `rev` a summary records, from the output of `git rev-parse HEAD`
+/// and of `git status --porcelain --untracked-files=no` (`None` where git
+/// failed): the revision, marked `-dirty` when a tracked file differs from
+/// it, so a summary measured on an uncommitted tree does not name its
+/// parent.
+fn revision(head: Option<&str>, status: Option<&str>) -> String {
+    match head.map(str::trim) {
+        None | Some("") => "unknown".into(),
+        Some(rev) if status.is_some_and(|s| !s.trim().is_empty()) => format!("{rev}-dirty"),
+        Some(rev) => rev.into(),
     }
 }
 
@@ -267,6 +283,19 @@ pub fn median_rate<T>(mut f: impl FnMut(u64) -> T, units: f64, reps: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_changed_tracked_file_marks_the_revision_dirty() {
+        assert_eq!(revision(Some("0123abc\n"), Some("")), "0123abc");
+        assert_eq!(
+            revision(Some("0123abc\n"), Some(" M src/lib.rs\n")),
+            "0123abc-dirty"
+        );
+        // A failed status check cannot tell; the revision stays as read.
+        assert_eq!(revision(Some("0123abc\n"), None), "0123abc");
+        assert_eq!(revision(None, Some(" M src/lib.rs\n")), "unknown");
+        assert_eq!(revision(Some(""), Some("")), "unknown");
+    }
 
     #[test]
     fn a_summary_is_written_in_the_one_shape() {

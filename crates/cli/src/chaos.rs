@@ -8,7 +8,7 @@ use rand::RngExt;
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
 use srbsg_persist::{CheckpointPolicy, Journaled};
-use srbsg_serve::{FrontEnd, Op, Request, ServeConfig};
+use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig, Served};
 use std::collections::BTreeMap;
 
 /// The lost-ack oracle: which value each address must read back after
@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 ///
 /// A harness records every acknowledged write with [`AckLedger::ack`]
 /// (the last ack of an address wins), drops an address whose line a
-/// never-acknowledged write may have clobbered with [`AckLedger::forget`],
-/// and notes writes still in flight at a kill with
+/// never-acknowledged write may have clobbered with [`AckLedger::forget`]
+/// ([`AckLedger::settle`] picks between the two from a front-end
+/// completion), and notes writes still in flight at a kill with
 /// [`AckLedger::unresolved`]. A *phase* orders the acks and in-flight
 /// writes of harnesses that run several load phases against one device;
 /// single-phase harnesses pass 0. [`AckLedger::audit`] then reads back
@@ -44,6 +45,18 @@ impl AckLedger {
     pub fn forget(&mut self, la: u64) {
         self.acked.remove(&la);
         self.unresolved.remove(&la);
+    }
+
+    /// Settle a single-phase harness's write of `data` to `la` by its
+    /// front-end `result`: an ack is recorded, a rejection that touched the
+    /// device forgets `la`, and one refused before reaching the device
+    /// changes nothing.
+    pub fn settle(&mut self, la: u64, data: LineData, result: &Result<Served, Rejected>) {
+        match result {
+            Ok(_) => self.ack(la, data, 0),
+            Err(r) if r.touched_device() => self.forget(la),
+            Err(_) => {}
+        }
     }
 
     /// Note a write that was in flight at a kill: the device may hold it.
@@ -96,7 +109,7 @@ pub fn fuzz_front_end(
             let mut cfg = SecurityRbsgConfig::small(4, 2);
             cfg.seed = base ^ (iter << 8) ^ b as u64;
             MemoryController::new(
-                Journaled::with_policy(SecurityRbsg::new(cfg), policy),
+                Journaled::new(SecurityRbsg::new(cfg), policy),
                 u64::MAX,
                 TimingModel::PAPER,
             )
@@ -155,6 +168,65 @@ mod tests {
         l.ack(7, LineData::Mixed(3), 0);
         assert_eq!(audit_holding(&l, LineData::Mixed(3)), (1, 0));
         assert_eq!(audit_holding(&l, LineData::Mixed(1)), (1, 1));
+    }
+
+    #[test]
+    fn a_rejection_forgets_the_ack_only_if_it_touched_the_device() {
+        use srbsg_pcm::PcmError;
+        let (acked, rejected) = (LineData::Mixed(1), LineData::Mixed(2));
+        let cases = [
+            (Rejected::QueueFull { bank: 0, depth: 4 }, false),
+            (
+                Rejected::DeadlineExceeded {
+                    bank: 0,
+                    deadline_ns: 10,
+                    ready_ns: 20,
+                    attempts: 0,
+                },
+                false,
+            ),
+            (
+                Rejected::DeadlineExceeded {
+                    bank: 0,
+                    deadline_ns: 10,
+                    ready_ns: 20,
+                    attempts: 2,
+                },
+                true,
+            ),
+            (Rejected::BankQuarantined { bank: 0 }, false),
+            (
+                Rejected::RetriesExhausted {
+                    bank: 0,
+                    attempts: 4,
+                },
+                true,
+            ),
+            (Rejected::ReadOnly, false),
+            (
+                Rejected::Fault(PcmError::AddressOutOfRange { la: 7, lines: 4 }),
+                false,
+            ),
+        ];
+        let served = Served {
+            bank: 0,
+            latency_ns: 5,
+            retries: 0,
+            data: None,
+        };
+        for (rej, touched) in cases {
+            let mut l = AckLedger::default();
+            l.settle(7, acked, &Ok(served));
+            l.settle(7, rejected, &Err(rej));
+            if touched {
+                // The line may hold the rejected value: not a lost ack.
+                assert_eq!(audit_holding(&l, rejected), (0, 0), "{rej:?}");
+            } else {
+                // Never reached the device: the ack still stands.
+                assert_eq!(audit_holding(&l, acked), (1, 0), "{rej:?}");
+                assert_eq!(audit_holding(&l, rejected), (1, 1), "{rej:?}");
+            }
+        }
     }
 
     #[test]

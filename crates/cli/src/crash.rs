@@ -156,7 +156,11 @@ fn trace(lines: u64, n: usize, seed: u64) -> Vec<(u64, LineData)> {
 }
 
 fn fresh<W: JournaledScheme>(mk: &dyn Fn() -> W) -> MemoryController<Journaled<W>> {
-    MemoryController::new(Journaled::new(mk()), u64::MAX, TimingModel::PAPER)
+    MemoryController::new(
+        Journaled::new(mk(), CheckpointPolicy::default()),
+        u64::MAX,
+        TimingModel::PAPER,
+    )
 }
 
 /// Steps the crash-free run journals over the whole trace.
@@ -200,11 +204,7 @@ fn run_one<W: JournaledScheme>(
         reference.write(la, data);
     }
 
-    let mut mc = MemoryController::new(
-        Journaled::with_policy(mk(), policy),
-        u64::MAX,
-        TimingModel::PAPER,
-    );
+    let mut mc = MemoryController::new(Journaled::new(mk(), policy), u64::MAX, TimingModel::PAPER);
     mc.scheme_mut().set_crash_plan(plan);
     let lines = mc.logical_lines();
     let mut ledger = AckLedger::default();
@@ -227,11 +227,8 @@ fn run_one<W: JournaledScheme>(
     let (jw, mut bank) = mc.into_parts();
     let ckpts = jw.checkpoints_installed();
     let store = jw.into_store();
-    let (jw2, report) = match rekey_seed {
-        Some(seed) => Journaled::<W>::recover_rekeyed_with_policy(&store, &mut bank, seed, policy),
-        None => Journaled::<W>::recover_with_policy(&store, &mut bank, policy),
-    }
-    .unwrap_or_else(|e| panic!("recovery failed under {plan:?}: {e}"));
+    let (jw2, report) = Journaled::<W>::recover(&store, &mut bank, policy, rekey_seed)
+        .unwrap_or_else(|e| panic!("recovery failed under {plan:?}: {e}"));
     let slo_ok = policy
         .slo_steps()
         .is_none_or(|slo| report.replayed_steps <= slo);

@@ -139,8 +139,11 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
                     let (jw, mut pbank) = mc.into_parts();
                     let ckpts = jw.checkpoints_installed();
                     let store = jw.into_store();
-                    let (jw2, report) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-                        &store, &mut pbank, rekey_seed, policy,
+                    let (jw2, report) = Journaled::<SecurityRbsg>::recover(
+                        &store,
+                        &mut pbank,
+                        policy,
+                        Some(rekey_seed),
                     )
                     .unwrap_or_else(|e| panic!("iter {iter}: recovery failed: {e}"));
                     recovered = Some((report, ckpts));

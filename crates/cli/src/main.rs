@@ -30,8 +30,8 @@
 //!             fsync lies, rename failures, bit rot — with retry healing,
 //!             scrub healing, read-only degradation, equivalence checks
 //!   servebin  Real-process chaos harness for the srbsg-server binary:
-//!             malformed-frame fuzz, open-loop bench, SIGKILL + SIGTERM
-//!             mid-load with restart, zero-lost-acked-writes audit
+//!             malformed-frame fuzz, SIGKILL + SIGTERM mid-load with
+//!             restart, zero-lost-acked-writes audit
 //!             (requires the srbsg-server/srbsg-loadgen binaries to be
 //!             built; not part of `all`)
 //!   all       Everything above except servebin

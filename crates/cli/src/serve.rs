@@ -282,11 +282,7 @@ fn replay(
                 a.latencies.push(s.latency_ns);
             }
             if let Op::Write(data) = req.op {
-                match &c.result {
-                    Ok(_) => ledger.ack(req.la, data, 0),
-                    Err(r) if r.touched_device() => ledger.forget(req.la),
-                    Err(_) => {}
-                }
+                ledger.settle(req.la, data, &c.result);
             }
         }
     }

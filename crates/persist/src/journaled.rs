@@ -21,16 +21,16 @@
 //!    operations on the bank from the recorded before-images (idempotent)
 //!    and append the missing marker.
 //!
-//! [`Journaled::recover_rekeyed`] additionally re-randomizes the scheme's
+//! Given a re-key seed, recovery additionally re-randomizes the scheme's
 //! key material (journaled as a `Reseed` record so the journal stays
 //! replayable) and drives enough remap work for the fresh keys to take
 //! effect — so an attacker cannot freeze the mapping by cycling power.
 //!
 //! A [`CheckpointPolicy`] bounds all of this: the wrapper installs a
 //! checkpoint (via the persistor's crash-safe dual-slot protocol) whenever
-//! the journal crosses a step-count or byte threshold, which caps how many
-//! steps any future recovery can be asked to replay — the recovery-time
-//! SLO, [`CheckpointPolicy::slo_steps`].
+//! the journal crosses a step-count threshold, which caps how many steps
+//! any future recovery can be asked to replay — the recovery-time SLO,
+//! [`CheckpointPolicy::slo_steps`].
 
 use crate::codec::PersistError;
 use crate::journal::{encode_record, parse_journal, LoggedOp, Record};
@@ -131,7 +131,8 @@ pub struct RecoveryReport {
     /// Physical operations redone from before-images (non-zero only when
     /// the final record was an uncommitted `Step`).
     pub redone_ops: u64,
-    /// Whether the scheme's RNG was reseeded ([`Journaled::recover_rekeyed`]).
+    /// Whether the scheme's RNG was reseeded (recovery given a re-key
+    /// seed).
     pub reseeded: bool,
     /// Remap movements performed to put fresh keys in effect.
     pub rekey_movements: u64,
@@ -159,23 +160,17 @@ pub struct Journaled<W: JournaledScheme> {
 }
 
 impl<W: JournaledScheme> Journaled<W> {
-    /// Wrap `scheme`, taking an initial snapshot at sequence 0 into slot 0.
-    /// No automatic checkpointing — see [`Journaled::with_policy`].
-    pub fn new(scheme: W) -> Self {
+    /// Wrap `scheme`, taking an initial snapshot at sequence 0 into slot 0,
+    /// with the automatic checkpoint `policy` in force
+    /// ([`CheckpointPolicy::default`] never checkpoints on its own).
+    pub fn new(scheme: W, policy: CheckpointPolicy) -> Self {
         let snapshot = encode_snapshot(&scheme, 0);
         Self {
             scheme,
             persistor: Persistor::new(Store::with_snapshot(snapshot, 0), 0),
-            policy: CheckpointPolicy::default(),
+            policy,
             steps_at_checkpoint: 0,
         }
-    }
-
-    /// Wrap `scheme` with an automatic checkpoint policy in force.
-    pub fn with_policy(scheme: W, policy: CheckpointPolicy) -> Self {
-        let mut jw = Self::new(scheme);
-        jw.policy = policy;
-        jw
     }
 
     /// The automatic checkpoint policy in force.
@@ -279,54 +274,6 @@ impl<W: JournaledScheme> Journaled<W> {
         Ok(true)
     }
 
-    /// Rebuild from a surviving store and bank. See the module docs for the
-    /// four recovery stages. The recovered wrapper's store is normalized:
-    /// the chosen snapshot in slot 0, an intact marker, and the replayed
-    /// journal (stale prefix dropped, torn tail truncated).
-    pub fn recover(
-        store: &Store,
-        bank: &mut PcmBank,
-    ) -> Result<(Self, RecoveryReport), PersistError> {
-        Self::recover_inner(store, bank, None, CheckpointPolicy::default())
-    }
-
-    /// Like [`Journaled::recover`], but additionally reseed the scheme's
-    /// RNG from `seed` and drive remap work until fresh keys fully
-    /// determine the mapping (paper-motivated: without this, an attacker
-    /// could freeze the mapping by cycling power).
-    pub fn recover_rekeyed(
-        store: &Store,
-        bank: &mut PcmBank,
-        seed: u64,
-    ) -> Result<(Self, RecoveryReport), PersistError> {
-        Self::recover_inner(store, bank, Some(seed), CheckpointPolicy::default())
-    }
-
-    /// [`Journaled::recover`] with a checkpoint policy re-armed on the
-    /// recovered wrapper. A checkpoint is installed immediately after
-    /// recovery, so the next crash starts from an empty journal and the
-    /// policy's SLO holds across repeated power cycles.
-    pub fn recover_with_policy(
-        store: &Store,
-        bank: &mut PcmBank,
-        policy: CheckpointPolicy,
-    ) -> Result<(Self, RecoveryReport), PersistError> {
-        Self::recover_inner(store, bank, None, policy)
-    }
-
-    /// [`Journaled::recover_rekeyed`] with a checkpoint policy re-armed on
-    /// the recovered wrapper; the post-recovery checkpoint also absorbs the
-    /// rekey burst, which may journal more than the policy's step bound in
-    /// one go.
-    pub fn recover_rekeyed_with_policy(
-        store: &Store,
-        bank: &mut PcmBank,
-        seed: u64,
-        policy: CheckpointPolicy,
-    ) -> Result<(Self, RecoveryReport), PersistError> {
-        Self::recover_inner(store, bank, Some(seed), policy)
-    }
-
     /// Stage 1: choose the snapshot to restore from. With an intact marker
     /// the named slot is authoritative (its seq must match the marker's).
     /// With a torn marker — the checkpoint protocol's phase-2 crash — try
@@ -356,7 +303,7 @@ impl<W: JournaledScheme> Journaled<W> {
             ))
     }
 
-    /// [`Journaled::recover_rekeyed_with_policy`] for a bank that is not
+    /// [`Journaled::recover`] with a re-key seed, for a bank that is not
     /// the durable copy of its own contents — the server's, whose durable
     /// image lives on its shelf. The re-key burst runs straight onto the
     /// bank, journaling no before-images, and the wrapper then checkpoints,
@@ -368,8 +315,7 @@ impl<W: JournaledScheme> Journaled<W> {
         seed: u64,
         policy: CheckpointPolicy,
     ) -> Result<(Self, RecoveryReport), PersistError> {
-        let (mut jw, mut report) =
-            Self::recover_inner(store, bank, None, CheckpointPolicy::default())?;
+        let (mut jw, mut report) = Self::recover(store, bank, CheckpointPolicy::default(), None)?;
         jw.scheme.reseed_rng(seed);
         report.reseeded = true;
         report.rekey_movements = jw.scheme.rekey(bank, &mut ApplySink);
@@ -464,11 +410,27 @@ impl<W: JournaledScheme> Journaled<W> {
         })
     }
 
-    fn recover_inner(
+    /// Rebuild from a surviving store and bank. See the module docs for the
+    /// four recovery stages. The recovered wrapper's store is normalized:
+    /// the chosen snapshot in slot 0, an intact marker, and the replayed
+    /// journal (stale prefix dropped, torn tail truncated).
+    ///
+    /// With `rekey_seed`, the scheme's RNG is then reseeded from it and
+    /// remap work runs until fresh keys fully determine the mapping
+    /// (paper-motivated: without this, an attacker could freeze the
+    /// mapping by cycling power).
+    ///
+    /// `policy` is re-armed on the recovered wrapper. Unless it is
+    /// [`CheckpointPolicy::default`], a checkpoint is installed right after
+    /// recovery, so the next crash starts from an empty journal and the
+    /// policy's SLO holds across repeated power cycles; that checkpoint
+    /// also absorbs the re-key burst, which may journal more than the
+    /// policy's step bound in one go.
+    pub fn recover(
         store: &Store,
         bank: &mut PcmBank,
-        rekey_seed: Option<u64>,
         policy: CheckpointPolicy,
+        rekey_seed: Option<u64>,
     ) -> Result<(Self, RecoveryReport), PersistError> {
         let Replayed {
             mut scheme,

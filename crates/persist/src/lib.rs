@@ -18,10 +18,9 @@
 //! * [`Journaled`] — the drop-in [`srbsg_pcm::WearLeveler`] wrapper, whose
 //!   [`Journaled::recover`] truncates torn records, replays the journal
 //!   onto the last snapshot, redoes an uncommitted trailing step from
-//!   before-images, and re-derives the live mapping;
-//! * [`Journaled::recover_rekeyed`] — recovery that re-randomizes key
-//!   material so power cycling cannot freeze the mapping (the
-//!   RTA-across-power-cycles defence);
+//!   before-images, and re-derives the live mapping; given a re-key seed
+//!   it also re-randomizes key material so power cycling cannot freeze
+//!   the mapping (the RTA-across-power-cycles defence);
 //! * [`CheckpointPolicy`] — automatic journal compaction through a
 //!   crash-safe dual-slot snapshot protocol (write the inactive slot, flip
 //!   the active marker, truncate the journal), bounding how many steps any

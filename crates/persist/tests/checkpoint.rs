@@ -17,7 +17,7 @@ fn srbsg() -> SecurityRbsg {
 
 fn mc_with(policy: CheckpointPolicy) -> MemoryController<Journaled<SecurityRbsg>> {
     MemoryController::new(
-        Journaled::with_policy(srbsg(), policy),
+        Journaled::new(srbsg(), policy),
         u64::MAX,
         TimingModel::PAPER,
     )
@@ -61,14 +61,18 @@ fn step_policy_bounds_the_journal_at_every_point() {
 
 #[test]
 fn checkpoint_after_power_loss_is_typed_not_a_panic() {
-    let mut jw = Journaled::new(srbsg());
+    let mut jw = Journaled::new(srbsg(), CheckpointPolicy::default());
     jw.power_cut();
     assert_eq!(jw.checkpoint(), Err(PersistError::PowerLost));
 }
 
 #[test]
 fn default_policy_never_checkpoints() {
-    let mut mc = MemoryController::new(Journaled::new(srbsg()), u64::MAX, TimingModel::PAPER);
+    let mut mc = MemoryController::new(
+        Journaled::new(srbsg(), CheckpointPolicy::default()),
+        u64::MAX,
+        TimingModel::PAPER,
+    );
     for i in 0..400u64 {
         mc.write(i % 16, LineData::Mixed(i as u32));
     }
@@ -81,7 +85,11 @@ fn default_policy_never_checkpoints() {
 
 #[test]
 fn explicit_checkpoint_empties_journal_and_recovery_replays_nothing() {
-    let mut mc = MemoryController::new(Journaled::new(srbsg()), u64::MAX, TimingModel::PAPER);
+    let mut mc = MemoryController::new(
+        Journaled::new(srbsg(), CheckpointPolicy::default()),
+        u64::MAX,
+        TimingModel::PAPER,
+    );
     for i in 0..300u64 {
         mc.write(i % 16, LineData::Mixed(i as u32));
     }
@@ -91,7 +99,9 @@ fn explicit_checkpoint_empties_journal_and_recovery_replays_nothing() {
     assert!(jw.store().journal.is_empty());
     jw.power_cut();
     let store = jw.into_store();
-    let (_, report) = Journaled::<SecurityRbsg>::recover(&store, &mut bank).unwrap();
+    let (_, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+            .unwrap();
     assert_eq!(report.replayed_steps, 0);
     assert_eq!(report.journal_bytes, 0);
     assert!(report.snapshot_bytes > 0);
@@ -121,7 +131,9 @@ fn torn_snapshot_leaves_previous_checkpoint_authoritative() {
     let (store, mut bank, _) = crash_at_checkpoint(CrashMode::CheckpointTornSnapshot);
     // The inactive slot holds a torn snapshot; the marker still names the
     // old one.
-    let (_, report) = Journaled::<SecurityRbsg>::recover(&store, &mut bank).unwrap();
+    let (_, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+            .unwrap();
     assert!(!report.marker_fallback);
     assert!(
         report.replayed_steps > 0,
@@ -133,7 +145,9 @@ fn torn_snapshot_leaves_previous_checkpoint_authoritative() {
 fn torn_marker_falls_back_to_newest_decodable_slot() {
     let (store, mut bank, _) = crash_at_checkpoint(CrashMode::CheckpointTornMarker);
     assert!(store.active_slot().is_none(), "marker must be torn");
-    let (_, report) = Journaled::<SecurityRbsg>::recover(&store, &mut bank).unwrap();
+    let (_, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+            .unwrap();
     assert!(report.marker_fallback);
     // The fully-written new snapshot wins; the whole journal is stale.
     assert_eq!(report.replayed_steps, 0);
@@ -148,7 +162,9 @@ fn untruncated_journal_is_skipped_as_a_stale_prefix() {
         !store.journal.is_empty(),
         "journal must be stale, not empty"
     );
-    let (jw, report) = Journaled::<SecurityRbsg>::recover(&store, &mut bank).unwrap();
+    let (jw, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+            .unwrap();
     assert!(!report.marker_fallback);
     assert_eq!(report.replayed_steps, 0);
     assert!(report.skipped_steps > 0);
@@ -157,7 +173,7 @@ fn untruncated_journal_is_skipped_as_a_stale_prefix() {
 }
 
 #[test]
-fn recover_with_policy_rearms_and_starts_from_a_checkpoint() {
+fn recovery_with_a_policy_rearms_and_starts_from_a_checkpoint() {
     let mut mc = mc_with(CheckpointPolicy::every_steps(4));
     for i in 0..300u64 {
         mc.write(i % 16, LineData::Mixed(i as u32));
@@ -166,8 +182,7 @@ fn recover_with_policy_rearms_and_starts_from_a_checkpoint() {
     jw.power_cut();
     let store = jw.into_store();
     let policy = CheckpointPolicy::every_steps(4);
-    let (jw2, _) =
-        Journaled::<SecurityRbsg>::recover_with_policy(&store, &mut bank, policy).unwrap();
+    let (jw2, _) = Journaled::<SecurityRbsg>::recover(&store, &mut bank, policy, None).unwrap();
     assert_eq!(jw2.checkpoint_policy(), policy);
     // Recovery itself checkpointed: the next crash replays nothing of the
     // pre-crash history.
@@ -186,8 +201,7 @@ fn rekeyed_recovery_with_policy_absorbs_the_rekey_burst() {
     let store = jw.into_store();
     let policy = CheckpointPolicy::every_steps(4);
     let (jw2, report) =
-        Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(&store, &mut bank, 0xD00D, policy)
-            .unwrap();
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, policy, Some(0xD00D)).unwrap();
     assert!(report.reseeded);
     assert!(report.rekey_movements > 0);
     // The rekey burst journals far more than K steps in one go; the
@@ -197,9 +211,37 @@ fn rekeyed_recovery_with_policy_absorbs_the_rekey_burst() {
 }
 
 #[test]
+fn rekeyed_recovery_without_a_policy_journals_the_burst_for_replay() {
+    let mut mc = mc_with(CheckpointPolicy::default());
+    for i in 0..300u64 {
+        mc.write(i % 16, LineData::Mixed(i as u32));
+    }
+    let (mut jw, mut bank) = mc.into_parts();
+    jw.power_cut();
+    let store = jw.into_store();
+    let none = CheckpointPolicy::default();
+    let (rekeyed, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, none, Some(0xD00D)).unwrap();
+    assert!(report.reseeded);
+    assert!(report.rekey_movements > 0);
+    // No policy, so no post-recovery checkpoint: the `Reseed` record and
+    // the burst's steps stay in the journal ...
+    assert_eq!(rekeyed.checkpoints_installed(), 0);
+    let records = parse_journal(&rekeyed.store().journal).unwrap().records;
+    assert!(records.iter().any(|r| matches!(r, Record::Reseed { .. })));
+    assert!(journal_steps(&rekeyed.store().journal) > 0);
+    // ... and replaying them restores the re-keyed mapping.
+    let (again, _) =
+        Journaled::<SecurityRbsg>::recover(rekeyed.store(), &mut bank, none, None).unwrap();
+    for la in 0..16 {
+        assert_eq!(again.translate(la), rekeyed.translate(la), "line {la}");
+    }
+}
+
+#[test]
 fn an_unjournaled_rekey_burst_leaves_the_bank_the_journaled_one_does() {
     let mut mc = MemoryController::new(
-        Journaled::with_policy(
+        Journaled::new(
             SecurityRbsg::new(SecurityRbsgConfig::small(6, 4)),
             CheckpointPolicy::every_steps(8),
         ),
@@ -215,13 +257,9 @@ fn an_unjournaled_rekey_burst_leaves_the_bank_the_journaled_one_does() {
         let store = jw.into_store();
         let policy = CheckpointPolicy::every_steps(8);
         let (mut journaled_bank, mut volatile_bank) = (bank.clone(), bank);
-        let (journaled, jr) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-            &store,
-            &mut journaled_bank,
-            0xD00D,
-            policy,
-        )
-        .unwrap();
+        let (journaled, jr) =
+            Journaled::<SecurityRbsg>::recover(&store, &mut journaled_bank, policy, Some(0xD00D))
+                .unwrap();
         let (volatile, vr) = Journaled::<SecurityRbsg>::recover_rekeyed_unjournaled(
             &store,
             &mut volatile_bank,
@@ -246,8 +284,13 @@ fn an_unjournaled_rekey_burst_leaves_the_bank_the_journaled_one_does() {
         // empty journal, and recovering it restores the re-keyed mapping.
         assert!(volatile.store().journal.is_empty());
         assert_eq!(volatile.checkpoint_policy(), policy);
-        let (again, _) =
-            Journaled::<SecurityRbsg>::recover(volatile.store(), &mut volatile_bank).unwrap();
+        let (again, _) = Journaled::<SecurityRbsg>::recover(
+            volatile.store(),
+            &mut volatile_bank,
+            CheckpointPolicy::default(),
+            None,
+        )
+        .unwrap();
         for la in 0..64 {
             assert_eq!(again.translate(la), journaled.translate(la), "line {la}");
         }
@@ -259,7 +302,7 @@ fn an_unjournaled_rekey_burst_leaves_the_bank_the_journaled_one_does() {
 fn policy_works_for_single_level_schemes_too() {
     let policy = CheckpointPolicy::every_steps(2);
     let mut mc = MemoryController::new(
-        Journaled::with_policy(StartGap::start_gap(16, 3), policy),
+        Journaled::new(StartGap::start_gap(16, 3), policy),
         u64::MAX,
         TimingModel::PAPER,
     );

@@ -62,11 +62,7 @@ fn trace(lines: u64, n: usize, seed: u64) -> Vec<(u64, LineData)> {
 }
 
 fn fresh<W: JournaledScheme>(mk: &dyn Fn() -> W) -> MemoryController<Journaled<W>> {
-    MemoryController::new(
-        Journaled::with_policy(mk(), policy()),
-        u64::MAX,
-        TimingModel::PAPER,
-    )
+    MemoryController::new(Journaled::new(mk(), policy()), u64::MAX, TimingModel::PAPER)
 }
 
 /// Steps the full trace journals when nothing crashes.
@@ -112,7 +108,7 @@ fn check_crash<W: JournaledScheme>(
     let (jw, mut bank) = mc.into_parts();
     assert!(jw.crashed());
     let store = jw.into_store();
-    let (jw2, report) = Journaled::<W>::recover_with_policy(&store, &mut bank, policy())
+    let (jw2, report) = Journaled::<W>::recover(&store, &mut bank, policy(), None)
         .unwrap_or_else(|e| panic!("{plan:?}: {e}"));
     match plan.mode {
         CrashMode::TornRecord => {

@@ -5,14 +5,14 @@
 //! just before a power failure). If recovery merely restores the journaled
 //! metadata, that knowledge survives the reboot intact — the attacker can
 //! freeze the mapping by cycling power whenever a re-keying round
-//! approaches. [`Journaled::recover_rekeyed`] closes the hole: recovery
-//! reseeds the DFN's key RNG (journaled, so the recovery itself stays
+//! approaches. [`Journaled::recover`] given a re-key seed closes the hole:
+//! recovery reseeds the DFN's key RNG (journaled, so the recovery itself stays
 //! replayable) and bursts outer movements until freshly drawn keys fully
 //! determine the mapping.
 
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{LineData, MemoryController, TimingModel};
-use srbsg_persist::{write_crashable, CrashMode, CrashPlan, Journaled};
+use srbsg_persist::{write_crashable, CheckpointPolicy, CrashMode, CrashPlan, Journaled};
 
 fn run_to_crash(
     at_step: u64,
@@ -26,7 +26,7 @@ fn run_to_crash(
     let mut cfg = SecurityRbsgConfig::small(4, 2);
     cfg.seed = 0xDEAD;
     let mut mc = MemoryController::new(
-        Journaled::new(SecurityRbsg::new(cfg)),
+        Journaled::new(SecurityRbsg::new(cfg), CheckpointPolicy::default()),
         u64::MAX,
         TimingModel::PAPER,
     );
@@ -67,7 +67,9 @@ fn plain_recovery_preserves_the_learned_mapping() {
     // the power cycle perfectly — this is exactly the hole.
     let (learned, store, mut bank, _) =
         run_to_crash(40, CrashMode::AfterCommit { extra_writes: 0 });
-    let (jw, report) = Journaled::<SecurityRbsg>::recover(&store, &mut bank).unwrap();
+    let (jw, report) =
+        Journaled::<SecurityRbsg>::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+            .unwrap();
     assert!(!report.reseeded);
     assert_eq!(report.rekey_movements, 0);
     let mc = MemoryController::from_bank(jw, bank);
@@ -84,8 +86,13 @@ fn rekeyed_recovery_invalidates_the_learned_mapping() {
         (33, CrashMode::HalfApplied),
     ] {
         let (learned, store, mut bank, acked) = run_to_crash(at_step, mode);
-        let (jw, report) =
-            Journaled::<SecurityRbsg>::recover_rekeyed(&store, &mut bank, 0xF5E5).unwrap();
+        let (jw, report) = Journaled::<SecurityRbsg>::recover(
+            &store,
+            &mut bank,
+            CheckpointPolicy::default(),
+            Some(0xF5E5),
+        )
+        .unwrap();
         assert!(report.reseeded);
         assert!(
             report.rekey_movements > 0,
@@ -123,7 +130,7 @@ fn repeated_power_cycles_cannot_freeze_the_mapping() {
     let mut cfg = SecurityRbsgConfig::small(4, 2);
     cfg.seed = 7;
     let mut mc = MemoryController::new(
-        Journaled::new(SecurityRbsg::new(cfg)),
+        Journaled::new(SecurityRbsg::new(cfg), CheckpointPolicy::default()),
         u64::MAX,
         TimingModel::PAPER,
     );
@@ -137,8 +144,13 @@ fn repeated_power_cycles_cannot_freeze_the_mapping() {
         let (mut jw, mut bank) = mc.into_parts();
         jw.power_cut();
         let store = jw.into_store();
-        let (jw2, _) =
-            Journaled::<SecurityRbsg>::recover_rekeyed(&store, &mut bank, 0x1000 + cycle).unwrap();
+        let (jw2, _) = Journaled::<SecurityRbsg>::recover(
+            &store,
+            &mut bank,
+            CheckpointPolicy::default(),
+            Some(0x1000 + cycle),
+        )
+        .unwrap();
         mc = MemoryController::from_bank(jw2, bank);
         tables.push((0..lines).map(|la| mc.translate(la)).collect());
     }

@@ -192,18 +192,21 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            queue_depth: 64,
-            max_retries: 3,
-            backoff_base_ns: 500,
-            backoff_cap_ns: 16_000,
-            backoff_seed: 0x5E4E_5EED,
-            quarantine_spare_frac: 0.75,
-        }
+        Self::DEFAULT
     }
 }
 
 impl ServeConfig {
+    /// The default policy, usable in `const` context.
+    pub const DEFAULT: Self = Self {
+        queue_depth: 64,
+        max_retries: 3,
+        backoff_base_ns: 500,
+        backoff_cap_ns: 16_000,
+        backoff_seed: 0x5E4E_5EED,
+        quarantine_spare_frac: 0.75,
+    };
+
     /// Check invariants, panicking on nonsense values.
     pub fn validated(self) -> Self {
         assert!(self.queue_depth >= 1, "queue depth must be at least 1");

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
-use srbsg_persist::Journaled;
+use srbsg_persist::{CheckpointPolicy, Journaled};
 use srbsg_serve::{FrontEnd, Op, Request, ServeConfig};
 
 fn journaled_system(banks: usize) -> MultiBankSystem<Journaled<SecurityRbsg>> {
@@ -18,7 +18,7 @@ fn journaled_system(banks: usize) -> MultiBankSystem<Journaled<SecurityRbsg>> {
         .map(|i| {
             let mut cfg = SecurityRbsgConfig::small(4, 2);
             cfg.seed = 0xBEEF ^ (i as u64);
-            Journaled::new(SecurityRbsg::new(cfg))
+            Journaled::new(SecurityRbsg::new(cfg), CheckpointPolicy::default())
         })
         .collect();
     MultiBankSystem::new(schemes, u64::MAX, TimingModel::PAPER)
@@ -37,7 +37,9 @@ fn restart(
         let (mut jw, mut bank) = mc.into_parts();
         jw.power_cut();
         let store = jw.into_store();
-        let (jw2, report) = Journaled::recover(&store, &mut bank).expect("recovery failed");
+        let (jw2, report) =
+            Journaled::recover(&store, &mut bank, CheckpointPolicy::default(), None)
+                .expect("recovery failed");
         // An orderly drain + power cut leaves no torn tail, nothing to
         // redo, and — because the drain checkpointed — nothing to replay:
         // the recovery-time floor of a graceful restart is zero.

@@ -25,7 +25,6 @@ FLAGS:
                            connection is one thread    [64]
     --idle-timeout-ms MS   idle connection timeout     [30000]
     --frame-timeout-ms MS  mid-frame (slow-loris) timeout [5000]
-    --deadline-ns NS       per-request simulated deadline budget [none]
     -h, --help             this text
 
 The server prints one line on startup:
@@ -74,10 +73,6 @@ fn parse_args() -> Result<ServerConfig, String> {
                     &next(&mut args, "--frame-timeout-ms")?,
                     "--frame-timeout-ms",
                 )? as u64)
-            }
-            "--deadline-ns" => {
-                cfg.deadline_ns =
-                    Some(parse_num(&next(&mut args, "--deadline-ns")?, "--deadline-ns")? as u64)
             }
             "-h" | "--help" => {
                 print!("{USAGE}");

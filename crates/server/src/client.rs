@@ -307,17 +307,6 @@ impl Client {
         })
     }
 
-    /// Wrap an already-connected stream.
-    pub fn from_stream(stream: Stream, timeout: Duration) -> Self {
-        Self {
-            stream,
-            reader: FrameReader::new(),
-            scratch: Vec::with_capacity(64),
-            next_id: 1,
-            timeout,
-        }
-    }
-
     /// Send raw bytes (fuzzing helper — deliberately not a valid frame).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.stream.write_all(bytes)

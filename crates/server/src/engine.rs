@@ -104,10 +104,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Flush saves through the page cache (power-loss durability).
     pub fsync: bool,
-    /// Front-end policy.
-    pub serve: ServeConfig,
-    /// Optional per-request simulated deadline budget.
-    pub deadline_ns: Option<u64>,
     /// Largest request chunk a connection submits under one engine
     /// lock (and one commit).
     pub batch_max: usize,
@@ -130,12 +126,6 @@ impl Default for ServerConfig {
             sub_regions: 4,
             seed: 0x5EC0_12B5,
             fsync: false,
-            serve: ServeConfig {
-                queue_depth: 1024,
-                quarantine_spare_frac: 0.0,
-                ..ServeConfig::default()
-            },
-            deadline_ns: None,
             batch_max: 64,
             max_conns: 64,
             idle_timeout: Duration::from_secs(30),
@@ -184,7 +174,6 @@ struct Shared {
     idle_timeout: Duration,
     frame_timeout: Duration,
     batch_max: usize,
-    deadline_ns: Option<u64>,
     engine: Mutex<Engine>,
 }
 
@@ -202,7 +191,6 @@ impl Shared {
             idle_timeout: cfg.idle_timeout,
             frame_timeout: cfg.frame_timeout,
             batch_max: cfg.batch_max.max(1),
-            deadline_ns: cfg.deadline_ns,
             engine: Mutex::new(Engine {
                 fe,
                 shelf,
@@ -236,6 +224,14 @@ struct Pending {
     la: u64,
     op: Op,
 }
+
+/// The front-end policy the server runs: a 1024-deep queue per bank and
+/// no quarantine. Requests carry no deadline.
+const SERVE: ServeConfig = ServeConfig {
+    queue_depth: 1024,
+    quarantine_spare_frac: 0.0,
+    ..ServeConfig::DEFAULT
+};
 
 /// Remap steps between checkpoints of each bank's in-memory journal. The
 /// shelf logs steps as descriptors, not journal bytes, so this bounds only
@@ -273,13 +269,13 @@ pub fn boot(
                     let mut c = SecurityRbsgConfig::small(cfg.width, cfg.sub_regions);
                     c.seed = splitmix64(cfg.seed ^ b as u64);
                     MemoryController::new(
-                        Journaled::with_policy(SecurityRbsg::new(c), pol),
+                        Journaled::new(SecurityRbsg::new(c), pol),
                         u64::MAX,
                         TimingModel::PAPER,
                     )
                 })
                 .collect();
-            let mut fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
+            let mut fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), SERVE);
             let report = BootReport {
                 save_seq: 1,
                 ..BootReport::default()
@@ -308,7 +304,7 @@ pub fn boot(
                     "srbsg-server: shelf scrub read rotten log copy {copy}'s records from its twin"
                 );
             }
-            let (mut fe, mut report) = restore(&state, pol, cfg.serve)?;
+            let (mut fe, mut report) = restore(&state, pol, SERVE)?;
             report.healed_shelf_slot = scrub.healed_slot.is_some() || scrub.healed_log.is_some();
             report.replayed_steps += scrub.replayed_steps;
             let stamp = CommitStamp {
@@ -406,16 +402,15 @@ impl Engine {
     /// Run one chunk of device requests to completion: submit it, commit
     /// its acknowledged writes, and only then encode its replies, in
     /// request order, into `out`.
-    fn run_chunk(&mut self, chunk: &[Pending], deadline_ns: Option<u64>, out: &mut Vec<u8>) {
+    fn run_chunk(&mut self, chunk: &[Pending], out: &mut Vec<u8>) {
         let arrival = self.fe.system().now_ns();
-        let deadline = deadline_ns.map(|d| arrival + d as Ns).unwrap_or(Ns::MAX);
         let batch: Vec<Request> = chunk
             .iter()
             .map(|p| Request {
                 la: p.la,
                 op: p.op,
                 arrival_ns: arrival,
-                deadline_ns: deadline,
+                deadline_ns: Ns::MAX,
             })
             .collect();
         // One worker: the chunk already runs under the one engine lock.
@@ -600,9 +595,7 @@ fn finish_round(
     replies: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     for chunk in pending.chunks(shared.batch_max) {
-        shared
-            .engine()?
-            .run_chunk(chunk, shared.deadline_ns, replies);
+        shared.engine()?.run_chunk(chunk, replies);
     }
     pending.clear();
     let sent = out.write_all(replies);
@@ -1080,7 +1073,7 @@ mod tests {
         let stats = || shared.engine().unwrap().stats(&shared.stats);
         let run = |chunk: &[Pending]| {
             let mut out = Vec::new();
-            shared.engine().unwrap().run_chunk(chunk, None, &mut out);
+            shared.engine().unwrap().run_chunk(chunk, &mut out);
             frames(&out)
         };
         let healthy = run(&writes(4));

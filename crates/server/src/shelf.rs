@@ -1511,7 +1511,7 @@ mod tests {
                 let mut c = SecurityRbsgConfig::small(width, 2);
                 c.seed = 0x5EED ^ b;
                 srbsg_pcm::MemoryController::new(
-                    Journaled::with_policy(SecurityRbsg::new(c), CheckpointPolicy::every_steps(8)),
+                    Journaled::new(SecurityRbsg::new(c), CheckpointPolicy::every_steps(8)),
                     u64::MAX,
                     TimingModel::PAPER,
                 )

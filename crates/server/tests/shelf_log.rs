@@ -86,7 +86,7 @@ impl Rig {
                 let mut c = SecurityRbsgConfig::small(width, 2);
                 c.seed = seed ^ b;
                 MemoryController::new(
-                    Journaled::with_policy(SecurityRbsg::new(c), CheckpointPolicy::every_steps(8)),
+                    Journaled::new(SecurityRbsg::new(c), CheckpointPolicy::every_steps(8)),
                     u64::MAX,
                     TimingModel::PAPER,
                 )

@@ -17,7 +17,6 @@
 //! SPEC ones, and `bzip2`/`gcc` notably sparse — mirroring the paper's
 //! observation that their IPC does not degrade at all.
 
-pub mod env;
 mod profiles;
 mod runner;
 mod shard;

@@ -85,27 +85,19 @@ impl ShardedRunReport {
 
 /// Read-batch window for the shard drivers: how many consecutive read
 /// events are accumulated into one lane-parallel
-/// [`MemoryController::read_batch`] call. Overridable via the
-/// `SRBSG_READ_BATCH` environment variable; `1` selects the scalar
-/// per-event path. A malformed or out-of-range value (empty, garbage,
-/// `0`) is a configuration error and panics with a diagnostic naming the
-/// variable — it is never silently replaced by the default (see
-/// [`crate::env`]).
-fn read_batch_window() -> usize {
-    crate::env::usize_knob_or("SRBSG_READ_BATCH", 1, 256)
-}
+/// [`MemoryController::read_batch`] call.
+const READ_BATCH_WINDOW: usize = 256;
 
 /// Drive one bank's shard: reads and tagged writes, clock advanced by the
 /// trace's compute gaps (1 GHz core — one cycle is one nanosecond), until
 /// the event budget runs out or the bank fails.
 ///
 /// Runs of consecutive reads (up to `window` of them) are serviced by one
-/// batched translation. This is outcome-identical to the per-event loop
-/// for any window: reads never mutate the mapping, and clock gaps and
-/// read latencies are pure sums, so deferring `advance_clock` to the
-/// flush point lands every counter on the same value (asserted by
-/// `read_windows_are_outcome_identical` and the CI scalar-vs-batch CSV
-/// diffs).
+/// batched translation; a window of 1 is the per-event loop. Every window
+/// is outcome-identical to it: reads never mutate the mapping, and clock
+/// gaps and read latencies are pure sums, so deferring `advance_clock` to
+/// the flush point lands every counter on the same value (asserted by
+/// `read_windows_are_outcome_identical`).
 fn drive_bank_with_window<W: WearLeveler, T: TraceGenerator>(
     bank: usize,
     mc: &mut MemoryController<W>,
@@ -148,15 +140,10 @@ fn drive_bank_with_window<W: WearLeveler, T: TraceGenerator>(
             }
         } else {
             reads += 1;
-            if window == 1 {
-                mc.advance_clock(a.gap_cycles as Ns);
-                let _ = mc.read(addr);
-            } else {
-                pending_gap += a.gap_cycles as Ns;
-                pending.push(addr);
-                if pending.len() >= window {
-                    flush_reads!();
-                }
+            pending_gap += a.gap_cycles as Ns;
+            pending.push(addr);
+            if pending.len() >= window {
+                flush_reads!();
             }
         }
     }
@@ -169,16 +156,6 @@ fn drive_bank_with_window<W: WearLeveler, T: TraceGenerator>(
         failed_at_write,
         now_ns: mc.now_ns(),
     }
-}
-
-/// [`drive_bank_with_window`] at the environment-selected window.
-fn drive_bank<W: WearLeveler, T: TraceGenerator>(
-    bank: usize,
-    mc: &mut MemoryController<W>,
-    trace: &mut T,
-    events: u64,
-) -> ShardOutcome {
-    drive_bank_with_window(bank, mc, trace, events, read_batch_window())
 }
 
 impl ShardedTraceRunner {
@@ -224,7 +201,8 @@ impl ShardedTraceRunner {
             jobs,
             |(bank, mc)| {
                 let mut trace = make_trace(bank, lines_per_bank, shard_seed(master, bank));
-                let outcome = drive_bank(bank, mc, &mut trace, events);
+                let outcome =
+                    drive_bank_with_window(bank, mc, &mut trace, events, READ_BATCH_WINDOW);
                 // Fixed-size digest per worker; the dense histogram stays
                 // on the device.
                 let mut acc = WearAccumulator::new(total_slots, points, max_regions);
@@ -323,8 +301,11 @@ impl ShardedTraceRunner {
 mod tests {
     use super::*;
     use crate::WorkloadSpec;
-    use srbsg_pcm::TimingModel;
-    use srbsg_wearlevel::StartGap;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use srbsg_pcm::{LineAddr, PcmBank, TimingModel};
+    use srbsg_wearlevel::{Rbsg, StartGap};
+    use std::cell::RefCell;
 
     fn runner(events: u64) -> ShardedTraceRunner {
         ShardedTraceRunner {
@@ -380,40 +361,106 @@ mod tests {
         assert_eq!(got, expected);
     }
 
-    #[test]
-    fn read_windows_are_outcome_identical() {
-        // Read-heavy trace so batching actually engages; every window,
-        // including the scalar window 1, must land every counter, clock,
-        // and wear value on the same place.
+    /// A scheme that logs every slot it translates to, so two drives can
+    /// be compared on where their reads landed as well as on outcomes.
+    struct Traced<W> {
+        inner: W,
+        slots: RefCell<Vec<LineAddr>>,
+    }
+
+    impl<W: WearLeveler> WearLeveler for Traced<W> {
+        fn init_bank(&self, bank: &mut PcmBank) {
+            self.inner.init_bank(bank)
+        }
+        fn translate(&self, la: LineAddr) -> LineAddr {
+            let slot = self.inner.translate(la);
+            self.slots.borrow_mut().push(slot);
+            slot
+        }
+        fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
+            self.inner.translate_batch(las, out);
+            self.slots.borrow_mut().extend_from_slice(out);
+        }
+        fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+            self.inner.before_write(la, bank)
+        }
+        fn writes_until_remap(&self, la: LineAddr) -> u64 {
+            self.inner.writes_until_remap(la)
+        }
+        fn note_quiet_writes(&mut self, la: LineAddr, k: u64) {
+            self.inner.note_quiet_writes(la, k)
+        }
+        fn logical_lines(&self) -> u64 {
+            self.inner.logical_lines()
+        }
+        fn physical_slots(&self) -> u64 {
+            self.inner.physical_slots()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// What a drive of two banks did: per-bank outcomes, wear, and the
+    /// slots every access was translated to.
+    type Drive = (Vec<ShardOutcome>, Vec<Vec<u64>>, Vec<Vec<LineAddr>>);
+
+    /// Drive two banks built by `scheme(bank)` through a read-heavy trace
+    /// at read window `window`.
+    fn drive_reads<W: WearLeveler>(scheme: impl Fn(usize) -> W, window: usize) -> Drive {
+        // Read-heavy so batching actually engages.
         let spec = WorkloadSpec::Zipf {
             s: 1.2,
             write_ratio: 0.2,
             mean_gap: 10,
         };
-        let make = |_bank: usize, lines: u64, seed: u64| spec.build(lines, seed);
         let r = runner(3_000);
-        let drive = |window: usize| {
-            let mut sys = system(2, 1_000_000_000);
-            let lines = sys.banks()[0].logical_lines();
-            let outcomes: Vec<ShardOutcome> = sys
-                .banks_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(b, mc)| {
-                    let mut trace = make(b, lines, shard_seed(r.master_seed, b));
-                    drive_bank_with_window(b, mc, &mut trace, r.events_per_bank, window)
+        let mut sys = MultiBankSystem::new(
+            (0..2)
+                .map(|b| Traced {
+                    inner: scheme(b),
+                    slots: RefCell::default(),
                 })
-                .collect();
-            let wear: Vec<Vec<u64>> = sys
-                .banks()
-                .iter()
-                .map(|b| b.bank().wear().to_vec())
-                .collect();
-            (outcomes, wear)
-        };
-        let reference = drive(1);
-        for window in [2usize, 3, 7, 256] {
-            assert_eq!(drive(window), reference, "window={window}");
+                .collect(),
+            1_000_000_000,
+            TimingModel::PAPER,
+        );
+        let lines = sys.banks()[0].logical_lines();
+        let outcomes = sys
+            .banks_mut()
+            .iter_mut()
+            .enumerate()
+            .map(|(b, mc)| {
+                let mut trace = spec.build(lines, shard_seed(r.master_seed, b));
+                drive_bank_with_window(b, mc, &mut trace, r.events_per_bank, window)
+            })
+            .collect();
+        let wear = sys
+            .banks()
+            .iter()
+            .map(|b| b.bank().wear().to_vec())
+            .collect();
+        let slots = sys
+            .banks()
+            .iter()
+            .map(|b| b.scheme().slots.take())
+            .collect();
+        (outcomes, wear, slots)
+    }
+
+    #[test]
+    fn read_windows_are_outcome_identical() {
+        // Every window must translate every access to the slot the
+        // per-event window 1 does and land every counter, clock and wear
+        // value in the same place: on Start-Gap, whose batch translation
+        // is the scalar loop, and on RBSG, whose Feistel randomizer
+        // translates a batch lane-parallel.
+        let start_gap = |_| StartGap::start_gap(1 << 8, 8);
+        let rbsg = |b: usize| Rbsg::with_feistel(&mut SmallRng::seed_from_u64(b as u64), 8, 4, 8);
+        let reference = (drive_reads(start_gap, 1), drive_reads(rbsg, 1));
+        for window in [2, 3, 7, READ_BATCH_WINDOW] {
+            let got = (drive_reads(start_gap, window), drive_reads(rbsg, window));
+            assert_eq!(got, reference, "window={window}");
         }
     }
 
