@@ -8,6 +8,9 @@
 //! * `feistel`, `sharded`, `raa_split` — self-timed grids that also write
 //!   a `BENCH_*.json` summary through [`write_summary`].
 //!
+//! `examples/perfbench_summary.rs` writes `BENCH_server.json` through the
+//! same function, from perfbench's result lines.
+//!
 //! Every summary has one shape: `{"bench", "host": {"cores", "simd",
 //! "rev"}, "params": {…}, "rows": [{…labels…, "value", "unit"}]}`. A
 //! row's labels say which cell it measures, `value` is that cell's median

@@ -286,3 +286,35 @@ fn split_trial_faults_output_is_byte_identical_across_job_counts() {
     }
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// The benchmark's paper sweep — fig14 over 32 seeds and fig15 over 8, on
+/// 2 workers — must reproduce the committed reference CSVs under
+/// `perfbench/reference/` byte for byte.
+#[test]
+fn sweep_csvs_match_the_benchmark_reference() {
+    let out = std::env::temp_dir().join(format!("srbsg-sweep-reference-{}", std::process::id()));
+    std::fs::create_dir_all(&out).expect("create out dir");
+    let reference = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/reference");
+    for (figure, seeds) in [("fig14", "32"), ("fig15", "8")] {
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["--quick", "--seeds", seeds, "--jobs", "2", "--out"])
+            .arg(&out)
+            .arg(figure)
+            .output()
+            .expect("spawn experiments binary");
+        assert!(
+            output.status.success(),
+            "{figure} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let csv = format!("{figure}.csv");
+        let got = std::fs::read(out.join(&csv)).expect("read csv");
+        let want = std::fs::read(reference.join(&csv)).expect("read reference csv");
+        assert!(
+            got == want,
+            "{csv} differs from perfbench/reference/{csv}:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    }
+    std::fs::remove_dir_all(&out).ok();
+}

@@ -25,6 +25,7 @@ mod rbsg;
 mod split;
 mod sr2;
 mod srbsg;
+mod stay;
 mod trials;
 mod workload;
 

@@ -7,6 +7,7 @@ use srbsg_attacks::detection_margin;
 use srbsg_feistel::{AddressPermutation, FeistelNetwork};
 use srbsg_pcm::WearAccumulator;
 
+use crate::stay::SlotWear;
 use crate::{Lifetime, PcmParams};
 
 /// Configuration of the Security RBSG lifetime engines (mirrors
@@ -39,8 +40,9 @@ impl SrbsgParams {
 ///
 /// The round engine owns the whole RNG stream (keys, flip point, parking,
 /// entry slots); a sink only receives fully determined deposits. A dense
-/// sink keeps the per-slot histogram and failure detection the lifetime
-/// engine needs; a streaming sink folds the identical write sequence into
+/// [`SlotWear`] sink keeps the per-slot histogram and failure detection
+/// the lifetime engine needs (the exact stay kernel of `stay.rs`); a
+/// streaming sink folds the identical write sequence into
 /// a fixed-size [`WearAccumulator`] so paper-scale distribution sweeps
 /// need O(regions) memory per worker instead of O(lines).
 pub(crate) trait StaySink {
@@ -49,71 +51,6 @@ pub(crate) trait StaySink {
     /// actually deposited (a failing sink stops mid-stay) and whether the
     /// bank has now failed.
     fn stay(&mut self, region: u64, entry: u64, writes: u64) -> (u64, bool);
-}
-
-/// Dense per-slot wear with first-failure detection (the historical
-/// engine state).
-struct DenseSink {
-    /// Hammer-deposit wear per slot; slot index = region * (n_r+1) + offset.
-    wear: Vec<u32>,
-    /// Inner gap-rotation background writes per sub-region (one write per
-    /// slot per lap of remap traffic).
-    background: Vec<u32>,
-    /// Peak hammer wear per sub-region. The effective wear of a slot is
-    /// `wear[slot] + background[region]`, so the first endurance crossing
-    /// in a region is at `region_peak + background` — which a region-wide
-    /// `background` increment can push over the limit on a slot the
-    /// current deposit never touched.
-    region_peak: Vec<u32>,
-    /// Slots per sub-region (`n_r + 1`).
-    slots: u64,
-    /// Writes per inner rotation lap (`(n_r+1)·ψ_in`).
-    lap: u64,
-    endurance: u64,
-}
-
-impl DenseSink {
-    fn new(params: &PcmParams, cfg: &SrbsgParams) -> Self {
-        let n_r = params.lines / cfg.sub_regions;
-        let slots = n_r + 1;
-        Self {
-            wear: vec![0; (cfg.sub_regions * slots) as usize],
-            background: vec![0; cfg.sub_regions as usize],
-            region_peak: vec![0; cfg.sub_regions as usize],
-            slots,
-            lap: slots * cfg.inner_interval,
-            endurance: params.endurance,
-        }
-    }
-}
-
-impl StaySink for DenseSink {
-    fn stay(&mut self, region: u64, entry: u64, mut writes: u64) -> (u64, bool) {
-        let mut slot = entry;
-        let mut deposited = 0u64;
-        let mut failed = false;
-        while writes > 0 && !failed {
-            let deposit = writes.min(self.lap);
-            let idx = (region * self.slots + slot) as usize;
-            self.wear[idx] += deposit as u32;
-            deposited += deposit;
-            let peak = &mut self.region_peak[region as usize];
-            *peak = (*peak).max(self.wear[idx]);
-            if deposit == self.lap {
-                // A full lap of remap traffic rewrites one line per slot.
-                self.background[region as usize] += 1;
-            }
-            // First crossing anywhere in the region: the background
-            // increment applies to every slot, so the region's peak slot
-            // (not necessarily the one just written) decides failure.
-            if *peak as u64 + self.background[region as usize] as u64 >= self.endurance {
-                failed = true;
-            }
-            writes -= deposit;
-            slot = (slot + 1) % self.slots;
-        }
-        (deposited, failed)
-    }
 }
 
 /// Streaming sink: the same deposit sequence, folded in closed form into
@@ -194,11 +131,11 @@ struct RaaCore<S: StaySink> {
 }
 
 /// The historical lifetime engine: dense slots + failure detection.
-type RaaEngine = RaaCore<DenseSink>;
+type RaaEngine = RaaCore<SlotWear<u32>>;
 
 impl RaaEngine {
     fn new(params: PcmParams, cfg: SrbsgParams, seed: u64) -> Self {
-        let sink = DenseSink::new(&params, &cfg);
+        let sink = SlotWear::new(&params, &cfg, params.endurance);
         Self::with_sink(params, cfg, seed, sink)
     }
 
@@ -486,7 +423,7 @@ mod tests {
         let mut eng = RaaEngine::new(params, cfg, 0);
         let victim = (0..slots).find(|s| !touched.contains(s)).unwrap();
         eng.sink.wear[victim as usize] = (params.endurance - 1) as u32;
-        eng.sink.region_peak[0] = (params.endurance - 1) as u32;
+        eng.sink.peak[0] = (params.endurance - 1) as u32;
         eng.deposit_stay(0, 2 * lap);
         assert!(
             eng.failed,
@@ -622,7 +559,7 @@ mod tests {
         let lap = slots * cfg.inner_interval;
         let total_slots = cfg.sub_regions * slots;
 
-        let mut dense = DenseSink::new(&params, &cfg);
+        let mut dense = SlotWear::<u32>::new(&params, &cfg, params.endurance);
         let mut stream = StreamSink {
             acc: srbsg_pcm::WearAccumulator::new(total_slots, 16, total_slots),
             slots,
