@@ -12,15 +12,15 @@
 //! count either way — that part is what the determinism gates check.
 //! Knobs (see the crate docs):
 //!
-//! - `SRBSG_BENCH_QUICK=1` — smaller platform, fewer repetitions
-//!   (CI smoke mode).
+//! - `SRBSG_BENCH_QUICK=1` — smaller platform (CI smoke mode); both
+//!   modes time 25 interleaved repetitions.
 //! - `SRBSG_BENCH_JSON_DIR=DIR` — where the summary goes.
 //! - `SRBSG_BENCH_ASSERT=1` — fail unless split at jobs=1 is within
 //!   tolerance of the legacy serial engine, ≥2× legacy at jobs=4 when the
 //!   host has ≥4 cores, and ≥3× at jobs=8 when it has ≥8.
 
 use criterion::{black_box, Criterion};
-use srbsg_bench::{assert_gate, median_rate, quick, write_summary, Summary};
+use srbsg_bench::{assert_gate, interleaved_rates, median, quick, write_summary, Summary};
 use srbsg_lifetime::{srbsg_raa_lifetime, srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -47,7 +47,7 @@ fn platform(quick: bool) -> (PcmParams, SrbsgParams) {
 
 fn main() {
     let quick = quick();
-    let reps = if quick { 3 } else { 5 };
+    let reps = 25;
     let (params, cfg) = platform(quick);
 
     let mut c = Criterion::default();
@@ -63,25 +63,33 @@ fn main() {
     }
     g.finish();
 
-    // Self-timed medians for the JSON artifact (the criterion shim keeps
-    // its samples internal). Seeds vary per repetition so no engine can
-    // win on a lucky early failure.
+    // Self-timed rates for the JSON artifact (the criterion shim keeps
+    // its samples internal). Repetition `i` runs legacy and then split at
+    // each worker count on seed `i`, back to back, so host load falls on
+    // every engine alike; seeds vary per repetition so no engine can win
+    // on a lucky early failure. Rows are medians; the serial gate takes
+    // the median of the per-repetition split/legacy ratios.
     let mut summary = Summary::new("raa_split_lifetime");
     summary
         .param("width", params.width())
         .param("endurance", params.endurance)
         .param("reps", reps);
-    let legacy = median_rate(|s| srbsg_raa_lifetime(&params, &cfg, s).writes, 1.0, reps);
+    let rates = interleaved_rates(
+        1 + JOB_COUNTS.len(),
+        |engine, s| match engine {
+            0 => srbsg_raa_lifetime(&params, &cfg, s).writes,
+            e => srbsg_raa_lifetime_split(&params, &cfg, s, JOB_COUNTS[e - 1]).writes,
+        },
+        1.0,
+        reps,
+    );
+    let legacy = median(rates[0].iter().copied());
     println!("raa_split_lifetime/legacy_serial: {legacy:.2} trials/sec");
     let cell = |engine: &str, jobs: usize| vec![("engine", engine.into()), ("jobs", jobs.into())];
     summary.row(cell("legacy", 1), legacy, "trials/s");
     let mut split_rates = Vec::new();
-    for &jobs in &JOB_COUNTS {
-        let rate = median_rate(
-            |s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes,
-            1.0,
-            reps,
-        );
+    for (&jobs, row) in JOB_COUNTS.iter().zip(&rates[1..]) {
+        let rate = median(row.iter().copied());
         println!(
             "raa_split_lifetime/split_jobs{jobs}: {rate:.2} trials/sec \
              ({:.2}x vs legacy)",
@@ -90,15 +98,18 @@ fn main() {
         summary.row(cell("split", jobs), rate, "trials/s");
         split_rates.push((jobs, rate));
     }
+    let serial_ratio = median(rates[1].iter().zip(&rates[0]).map(|(s, l)| s / l));
+    println!(
+        "raa_split_lifetime/serial_ratio: {serial_ratio:.2} (median of paired split_jobs1/legacy)"
+    );
 
     let cores = write_summary("BENCH_raa_split.json", &summary).cores;
 
     let mut gate_ok = true;
-    let split_j1 = split_rates[0].1;
-    if split_j1 < SERIAL_TOLERANCE * legacy {
+    if serial_ratio < SERIAL_TOLERANCE {
         eprintln!(
-            "GATE: split at jobs=1 ({split_j1:.2}/s) below {SERIAL_TOLERANCE}x \
-             of legacy serial ({legacy:.2}/s)"
+            "GATE: split at jobs=1 runs {serial_ratio:.2}x of legacy serial \
+             (median of paired repetitions), below {SERIAL_TOLERANCE}x"
         );
         gate_ok = false;
     }

@@ -272,15 +272,42 @@ pub fn write_summary(file: &str, summary: &Summary) -> Host {
 /// Median over `reps` timed calls of `f(rep)` of `units` per second:
 /// `units` is the work one call does (addresses translated, trials run).
 pub fn median_rate<T>(mut f: impl FnMut(u64) -> T, units: f64, reps: usize) -> f64 {
-    let mut rates: Vec<f64> = (0..reps as u64)
-        .map(|i| {
-            let t0 = Instant::now();
-            black_box(f(i));
-            units / t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    rates[rates.len() / 2]
+    median((0..reps as u64).map(|i| timed_rate(|| f(i), units)))
+}
+
+/// Rates in `units` per second of `workloads` workloads over `reps`
+/// interleaved repetitions, where `f(w, rep)` runs workload `w`:
+/// repetition `i` times `f(0, i)`, `f(1, i)`, … back to back, so load
+/// that comes and goes on the host falls on every workload alike instead
+/// of on whichever ran while it lasted. Returns one row of `reps` rates
+/// per workload, in repetition order.
+pub fn interleaved_rates<T>(
+    workloads: usize,
+    mut f: impl FnMut(usize, u64) -> T,
+    units: f64,
+    reps: usize,
+) -> Vec<Vec<f64>> {
+    let mut rows = vec![Vec::with_capacity(reps); workloads];
+    for i in 0..reps as u64 {
+        for (w, row) in rows.iter_mut().enumerate() {
+            row.push(timed_rate(|| f(w, i), units));
+        }
+    }
+    rows
+}
+
+/// The median of `xs` (the upper middle one of an even count).
+pub fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs[xs.len() / 2]
+}
+
+/// `units` per second of one call of `f`.
+fn timed_rate<T>(f: impl FnOnce() -> T, units: f64) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    units / t0.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]

@@ -566,6 +566,60 @@ mod tests {
     use super::*;
     use crate::{srbsg_raa_lifetime, srbsg_raa_wear_profile};
 
+    /// `add_slots` ≡ the plain `>=` check its borrow trick stands for, at
+    /// `level` 0, low levels, and levels and sums at the 2^63 borrow edge,
+    /// over lengths 0..=300 at several offsets.
+    #[test]
+    fn add_slots_matches_the_plain_check() {
+        let edge = 1u64 << 63;
+        let mut st = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            st % bound
+        };
+        // (base floor, levels): low wear, and wear whose sums end less
+        // than 2 000 below 2^63.
+        let cases = [
+            (0, vec![0, 1, 700, 1_400, 5_000]),
+            (
+                edge - 2_000,
+                vec![
+                    0,
+                    edge - 1_500,
+                    edge - 1_100,
+                    edge - 1,
+                    edge,
+                    edge + 1,
+                    u64::MAX,
+                ],
+            ),
+        ];
+        for (floor, levels) in cases {
+            let base: Vec<u64> = (0..300 + 8).map(|_| floor + next(1_000)).collect();
+            let tally: Vec<u64> = (0..300 + 8).map(|_| next(1_000)).collect();
+            for &level in &levels {
+                for offset in [0, 1, 3, 7] {
+                    for len in 0..=300 {
+                        let slots = offset..offset + len;
+                        let mut want = base.clone();
+                        let mut crossed = level == 0;
+                        for (w, d) in want[slots.clone()].iter_mut().zip(&tally[slots.clone()]) {
+                            *w += d;
+                            crossed |= *w >= level;
+                        }
+                        let mut got = base.clone();
+                        let hit = add_slots(&mut got[slots.clone()], &tally[slots.clone()], level);
+                        let case = format!("level {level} offset {offset} len {len}");
+                        assert_eq!(hit, crossed, "{case}");
+                        assert_eq!(got, want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     fn small_cfg() -> SrbsgParams {
         SrbsgParams {
             sub_regions: 8,

@@ -79,59 +79,12 @@ pub fn sr2_raa_lifetime(
     outer_interval: u64,
     seed: u64,
 ) -> Lifetime {
-    let n = params.lines;
-    let n_r = n / sub_regions;
-    let e = params.endurance;
-    let mut rng = SmallRng::seed_from_u64(seed);
-
-    let round_writes = n as u128 * outer_interval as u128;
-    let inner_round_writes = n_r * inner_interval;
-
-    // Per-slot wear from hammer deposits; background wear from refresh
-    // traffic is accounted separately (uniform within a sub-region). The
-    // per-region peak decides failure: a region-wide background increment
-    // can push a slot the current deposit never touched past endurance.
-    let mut wear: Vec<u32> = vec![0; n as usize];
-    let mut background: Vec<u32> = vec![0; sub_regions as usize];
-    let mut region_peak: Vec<u32> = vec![0; sub_regions as usize];
-
-    let mut total_writes: u128 = 0;
-    // The hammered LA's current sub-region; outer re-keying sends it to a
-    // fresh key-random one each round.
-    let mut region = rng.random_range(0..sub_regions);
-
-    'outer: loop {
-        // The outer refresh flips the hammered IA at a key-dependent point
-        // within the round.
-        let flip = rng.random_range(0.0..1.0f64);
-        let next_region = rng.random_range(0..sub_regions);
-        for (reg, frac) in [(region, flip), (next_region, 1.0 - flip)] {
-            let seg_writes = (round_writes as f64 * frac) as u64;
-            // Inner rounds in this segment: each parks the line on one
-            // key-random slot of the sub-region.
-            let mut left = seg_writes;
-            while left > 0 {
-                let deposit = left.min(inner_round_writes);
-                let slot = reg * n_r + rng.random_range(0..n_r);
-                let w = &mut wear[slot as usize];
-                *w += deposit as u32;
-                total_writes += deposit as u128;
-                left -= deposit;
-                let peak = &mut region_peak[reg as usize];
-                *peak = (*peak).max(*w);
-                // Refresh traffic: each inner round rewrites every line of
-                // the sub-region once (n_r/2 swaps × 2 writes).
-                if deposit == inner_round_writes {
-                    background[reg as usize] += 1;
-                }
-                if *peak as u64 + background[reg as usize] as u64 >= e {
-                    break 'outer;
-                }
-            }
-        }
-        region = next_region;
-    }
-
+    let total_writes = sr2_raa_writes(
+        params,
+        (sub_regions, inner_interval, outer_interval),
+        seed,
+        Sr2Wear::segment,
+    );
     let t = params.timing;
     let swap_avg = (2 * t.read_ns + t.set_ns + t.reset_ns) as f64;
     let per_write = (t.set_ns + t.translation_ns) as f64
@@ -143,12 +96,346 @@ pub fn sr2_raa_lifetime(
     }
 }
 
+/// The writes [`sr2_raa_lifetime`] survives at `(R, ψ_in, ψ_out)`, with
+/// each segment deposited by `segment` ([`Sr2Wear::segment`], or its
+/// per-deposit test oracle).
+fn sr2_raa_writes(
+    params: &PcmParams,
+    (sub_regions, inner_interval, outer_interval): (u64, u64, u64),
+    seed: u64,
+    mut segment: impl FnMut(&mut Sr2Wear, &mut SmallRng, u64, u64) -> (u64, bool),
+) -> u128 {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut state = Sr2Wear::new(params, sub_regions, inner_interval);
+    let round_writes = params.lines as u128 * outer_interval as u128;
+    let mut total_writes: u128 = 0;
+    // The hammered LA's current sub-region; outer re-keying sends it to a
+    // fresh key-random one each round.
+    let mut region = rng.random_range(0..sub_regions);
+    loop {
+        // The outer refresh flips the hammered IA at a key-dependent point
+        // within the round.
+        let flip = rng.random_range(0.0..1.0f64);
+        let next_region = rng.random_range(0..sub_regions);
+        for (reg, frac) in [(region, flip), (next_region, 1.0 - flip)] {
+            let seg_writes = (round_writes as f64 * frac) as u64;
+            let (deposited, failed) = segment(&mut state, &mut rng, reg, seg_writes);
+            total_writes += deposited as u128;
+            if failed {
+                return total_writes;
+            }
+        }
+        region = next_region;
+    }
+}
+
+/// Per-slot hammer wear of one bank under two-level SR, with per-region
+/// background and peak. Background wear from refresh traffic is uniform
+/// within a sub-region, so it is kept per region; the per-region peak
+/// decides failure, since a region-wide background increment can push a
+/// slot the current deposit never touched past the endurance.
+#[derive(Debug, Clone, PartialEq)]
+struct Sr2Wear {
+    /// Hammer wear per slot; slot index = region * n_r + offset.
+    wear: Vec<u32>,
+    /// Refresh writes per sub-region (one per line per inner round).
+    background: Vec<u32>,
+    /// Peak hammer wear per sub-region.
+    peak: Vec<u32>,
+    /// Lines per sub-region.
+    n_r: u64,
+    /// Writes per inner round (`n_r·ψ_in`): one full deposit.
+    deposit: u64,
+    endurance: u64,
+}
+
+impl Sr2Wear {
+    fn new(params: &PcmParams, sub_regions: u64, inner_interval: u64) -> Self {
+        let n_r = params.lines / sub_regions;
+        Self {
+            wear: vec![0; params.lines as usize],
+            background: vec![0; sub_regions as usize],
+            peak: vec![0; sub_regions as usize],
+            n_r,
+            deposit: n_r * inner_interval,
+            endurance: params.endurance,
+        }
+    }
+
+    /// Deposit one segment: `writes` hammer writes into `region`, one
+    /// inner round (a full deposit) at a time on a fresh key-random slot,
+    /// then the partial remainder. Returns the writes deposited (up to and
+    /// including the one that failed the bank) and whether it failed.
+    ///
+    /// A full deposit raises the region's `peak + background` by at most
+    /// `deposit + 1`, so from a level with `headroom` left below the
+    /// endurance the next `(headroom - 1) / (deposit + 1)` full deposits
+    /// cannot fail the bank: they run as a batch of adds and maxes with no
+    /// crossing check (DESIGN §4g). Only when no full deposit fits, and on
+    /// the remainder, does a deposit check the crossing. The RNG draws are
+    /// the per-deposit loop's, one per deposit, in order.
+    fn segment(&mut self, rng: &mut SmallRng, region: u64, writes: u64) -> (u64, bool) {
+        let (n_r, deposit) = (self.n_r, self.deposit);
+        let r = region as usize;
+        let (mut full, rem) = (writes / deposit, writes % deposit);
+        let mut deposited = 0;
+        while full > 0 {
+            let level = self.peak[r] as u64 + self.background[r] as u64;
+            let k = (self.endurance.saturating_sub(level + 1) / (deposit + 1)).min(full);
+            if k == 0 {
+                deposited += deposit;
+                if self.checked_deposit(rng, region, deposit) {
+                    return (deposited, true);
+                }
+                full -= 1;
+                continue;
+            }
+            let wear = &mut self.wear[r * n_r as usize..(r + 1) * n_r as usize];
+            let mut peak = self.peak[r];
+            for _ in 0..k {
+                let w = &mut wear[rng.random_range(0..n_r) as usize];
+                *w += deposit as u32;
+                peak = peak.max(*w);
+            }
+            self.peak[r] = peak;
+            self.background[r] += k as u32;
+            deposited += k * deposit;
+            full -= k;
+        }
+        if rem == 0 {
+            return (deposited, false);
+        }
+        (deposited + rem, self.checked_deposit(rng, region, rem))
+    }
+
+    /// One deposit of `writes <= deposit` on a key-random slot of
+    /// `region`, with the crossing check; a full deposit also adds one
+    /// background write (each inner round rewrites every line of the
+    /// sub-region once: `n_r/2` swaps × 2 writes).
+    fn checked_deposit(&mut self, rng: &mut SmallRng, region: u64, writes: u64) -> bool {
+        let slot = region * self.n_r + rng.random_range(0..self.n_r);
+        let r = region as usize;
+        let w = &mut self.wear[slot as usize];
+        *w += writes as u32;
+        self.peak[r] = self.peak[r].max(*w);
+        if writes == self.deposit {
+            self.background[r] += 1;
+        }
+        self.peak[r] as u64 + self.background[r] as u64 >= self.endurance
+    }
+
+    /// The per-deposit loop [`Sr2Wear::segment`] replaces, kept verbatim
+    /// as its test oracle.
+    #[cfg(test)]
+    fn segment_per_deposit(
+        &mut self,
+        rng: &mut SmallRng,
+        reg: u64,
+        seg_writes: u64,
+    ) -> (u64, bool) {
+        let (n_r, inner_round_writes, e) = (self.n_r, self.deposit, self.endurance);
+        let mut deposited = 0u64;
+        let mut left = seg_writes;
+        while left > 0 {
+            let deposit = left.min(inner_round_writes);
+            let slot = reg * n_r + rng.random_range(0..n_r);
+            let w = &mut self.wear[slot as usize];
+            *w += deposit as u32;
+            deposited += deposit;
+            left -= deposit;
+            let peak = &mut self.peak[reg as usize];
+            *peak = (*peak).max(*w);
+            if deposit == inner_round_writes {
+                self.background[reg as usize] += 1;
+            }
+            if *peak as u64 + self.background[reg as usize] as u64 >= e {
+                return (deposited, true);
+            }
+        }
+        (deposited, false)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use srbsg_attacks::RepeatedAddressAttack;
     use srbsg_pcm::MemoryController;
     use srbsg_wearlevel::TwoLevelSr;
+
+    /// A `regions × n_r` state with full deposits of `deposit` writes,
+    /// endurance `endurance` and pre-wear drawn from `seed` below
+    /// `max_pre`; each region's background is drawn likewise and its peak
+    /// is its slots' maximum.
+    fn state(
+        (regions, n_r, deposit): (u64, u64, u64),
+        endurance: u64,
+        seed: u64,
+        max_pre: u64,
+    ) -> Sr2Wear {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut draw = |bound: u64| rng.random_range(0..bound.max(1)) as u32;
+        let wear: Vec<u32> = (0..regions * n_r).map(|_| draw(max_pre)).collect();
+        let peak = wear
+            .chunks(n_r as usize)
+            .map(|c| c.iter().copied().max().unwrap())
+            .collect();
+        Sr2Wear {
+            wear,
+            background: (0..regions).map(|_| draw(max_pre / 8)).collect(),
+            peak,
+            n_r,
+            deposit,
+            endurance,
+        }
+    }
+
+    /// Deposit one segment through the batched kernel and the per-deposit
+    /// oracle on copies of `start` with the same RNG, require identical
+    /// results, states and RNG positions, and return the kernel's
+    /// `(deposited, failed)`.
+    fn same_segment(start: &Sr2Wear, seed: u64, region: u64, writes: u64) -> (u64, bool) {
+        let (mut kernel, mut oracle) = (start.clone(), start.clone());
+        let mut kernel_rng = SmallRng::seed_from_u64(seed);
+        let mut oracle_rng = SmallRng::seed_from_u64(seed);
+        let got = kernel.segment(&mut kernel_rng, region, writes);
+        let want = oracle.segment_per_deposit(&mut oracle_rng, region, writes);
+        let case = format!("region {region} writes {writes} seed {seed}");
+        assert_eq!(got, want, "(deposited, failed): {case}");
+        assert_eq!(kernel, oracle, "state: {case}");
+        assert_eq!(kernel_rng.state(), oracle_rng.state(), "RNG: {case}");
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Batched segment ≡ per-deposit oracle on random pre-wear,
+        /// geometry (power-of-two and other region sizes), endurance and
+        /// segment lengths of up to 40 deposits.
+        #[test]
+        fn segment_matches_the_per_deposit_oracle(
+            regions in 1u64..4,
+            n_r in 1u64..20,
+            deposit in 1u64..50,
+            seed in any::<u64>(),
+            max_pre in 0u64..600,
+            endurance_over in 0u64..1500,
+            region_pick in any::<u64>(),
+            writes_pick in any::<u64>(),
+        ) {
+            let writes = writes_pick % (40 * deposit + 1);
+            let start = state((regions, n_r, deposit), max_pre + endurance_over, seed, max_pre);
+            same_segment(&start, seed, region_pick % regions, writes);
+        }
+
+        /// Whole lifetimes: the batched engine ≡ the per-deposit engine
+        /// over random geometry, intervals, endurance and seeds.
+        #[test]
+        fn batched_lifetime_matches_the_per_deposit_engine(
+            width in 4u32..11,
+            region_bits_pick in any::<u32>(),
+            inner in 1u64..17,
+            outer in 1u64..17,
+            endurance in 1u64..20_000,
+            seed in any::<u64>(),
+        ) {
+            let params = PcmParams::small(width, endurance);
+            let sub_regions = 1u64 << (region_bits_pick % (width + 1));
+            let geometry = (sub_regions, inner, outer);
+            prop_assert_eq!(
+                sr2_raa_writes(&params, geometry, seed, Sr2Wear::segment),
+                sr2_raa_writes(&params, geometry, seed, Sr2Wear::segment_per_deposit),
+            );
+        }
+    }
+
+    /// Named edge cases of the batching rule: each asserts the case it
+    /// names really occurs.
+    #[test]
+    fn segment_matches_the_oracle_on_edge_cases() {
+        // One slot per region: every deposit lands on it, so a full deposit
+        // raises `peak + background` by exactly `d + 1` = 11.
+        let d = 10;
+        let one_slot = |endurance| state((2, 1, d), endurance, 0, 0);
+
+        // A crossing on the first deposit after a batch: E = 33 lets the
+        // first two deposits run unchecked (k = 32 / 11 = 2, level 22),
+        // and the third, checked (k = 10 / 11 = 0), reaches 33.
+        assert_eq!(same_segment(&one_slot(33), 1, 0, 5 * d), (3 * d, true));
+        // A crossing on the segment's partial remainder: two batched full
+        // deposits reach level 22 < 25, then the remainder's 5 writes take
+        // the slot to 25 (plus 2 background).
+        assert_eq!(
+            same_segment(&one_slot(25), 2, 1, 2 * d + 5),
+            (2 * d + 5, true)
+        );
+        // An endurance below one deposit: the first deposit is checked
+        // (k = 0) and fails, full or partial.
+        assert_eq!(same_segment(&one_slot(d - 1), 3, 0, 3 * d), (d, true));
+        assert_eq!(same_segment(&one_slot(0), 3, 0, 3 * d), (d, true));
+        assert_eq!(same_segment(&one_slot(4), 3, 0, 4), (4, true));
+        // No crossing: one batch of all seven full deposits, then the
+        // remainder.
+        assert_eq!(
+            same_segment(&one_slot(1_000), 4, 1, 7 * d + 3),
+            (7 * d + 3, false)
+        );
+
+        // A crossing caused by background only: slot 0 of region 1 is
+        // pre-worn to 30 below the endurance, and the deposits (batched
+        // while the headroom allows, then checked) land on other slots of
+        // the 1000-slot region, so background alone closes the gap.
+        let mut worn = state((2, 1_000, 5), 10_000, 0, 0);
+        worn.wear[1_000] = 9_970;
+        worn.peak[1] = 9_970;
+        let mut after = worn.clone();
+        let got = same_segment(&worn, 5, 1, 100 * 5);
+        after.segment(&mut SmallRng::seed_from_u64(5), 1, 100 * 5);
+        assert_eq!(got, (30 * 5, true));
+        assert_eq!(
+            after.peak[1], 9_970,
+            "the crossing slot is the untouched one"
+        );
+
+        // Random pre-wear right at the edge of the endurance.
+        for seed in 0..200 {
+            let start = state((2, 1 + seed % 7, 1 + seed % 13), 700, seed, 690);
+            same_segment(
+                &start,
+                seed,
+                seed % 2,
+                (seed % 40) * (1 + seed % 13) + seed % 5,
+            );
+        }
+    }
+
+    /// Lifetimes at the quick geometry (2^18 lines, 10^6 endurance)
+    /// recorded from the per-deposit engine, fig14's reference
+    /// configuration `(512, 64, 128)` among them: the batched engine must
+    /// reproduce them exactly.
+    #[test]
+    fn sr2_lifetimes_match_recorded_values() {
+        let params = PcmParams::small(18, 1_000_000);
+        let cases = [
+            (512, 64, 128, 0, 28_249_957_642),
+            (512, 64, 128, 31, 29_380_312_213),
+            (256, 64, 128, 2, 20_410_465_696),
+            (256, 64, 16, 7, 50_714_366_149),
+            (512, 64, 16, 1, 84_339_831_156),
+            (128, 128, 256, 5, 3_158_573_009),
+            (1024, 64, 128, 4, 14_457_110_098),
+            (256, 16, 128, 3, 55_322_589_584),
+        ];
+        for (r, inner, outer, seed, writes) in cases {
+            assert_eq!(
+                sr2_raa_lifetime(&params, r, inner, outer, seed).writes,
+                writes,
+                "(R, ψ_in, ψ_out, seed) = ({r}, {inner}, {outer}, {seed})"
+            );
+        }
+    }
 
     /// The round-level RAA engine must track the exact simulator within a
     /// stochastic envelope at small scale.

@@ -205,10 +205,23 @@ impl<T: Counter> Region<'_, T> {
 }
 
 /// Add `lap` to every slot of `run` and return the run's new maximum, in
-/// one pass the compiler can vectorize. Without `peak` it only adds and
-/// returns zero.
+/// one pass, on AVX2 when the CPU has it (DESIGN §4g). The AVX2 wrapper
+/// re-compiles the one safe body, [`add_run_portable`], so both paths
+/// compute the same. Without `peak` it only adds and returns zero.
 #[inline]
 fn add_run<T: Counter>(run: &mut [T], lap: T, peak: bool) -> T {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence checked on this line.
+        return unsafe { add_run_avx2(run, lap, peak) };
+    }
+    add_run_portable(run, lap, peak)
+}
+
+/// [`add_run`]'s body, a loop the compiler vectorizes for whatever target
+/// features it is compiled under.
+#[inline(always)]
+fn add_run_portable<T: Counter>(run: &mut [T], lap: T, peak: bool) -> T {
     let mut max = T::default();
     if peak {
         for w in run {
@@ -223,11 +236,59 @@ fn add_run<T: Counter>(run: &mut [T], lap: T, peak: bool) -> T {
     max
 }
 
+/// # Safety
+/// Caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_run_avx2<T: Counter>(run: &mut [T], lap: T, peak: bool) -> T {
+    add_run_portable(run, lap, peak)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::fmt::Debug;
+
+    /// The AVX2 `add_run` ≡ the portable body, with and without the peak,
+    /// over run lengths 0..=1100 at several offsets into the buffer.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_matches_the_portable_add_run<T: Counter + Debug>() {
+        let mut st = 0x9E37_79B9_7F4A_7C15u64;
+        let start: Vec<T> = (0..1100 + 64)
+            .map(|_| {
+                st ^= st << 13;
+                st ^= st >> 7;
+                st ^= st << 17;
+                T::of(st % (1 << 30))
+            })
+            .collect();
+        let lap = T::of(12_345);
+        for offset in [0, 1, 3, 7, 16, 33] {
+            for len in 0..=1100 {
+                let run = offset..offset + len;
+                for peak in [false, true] {
+                    let (mut want, mut got) = (start.clone(), start.clone());
+                    let want_max = add_run_portable(&mut want[run.clone()], lap, peak);
+                    // SAFETY: the caller checked AVX2 support.
+                    let got_max = unsafe { add_run_avx2(&mut got[run.clone()], lap, peak) };
+                    assert_eq!(got_max, want_max, "offset {offset} len {len}");
+                    assert_eq!(got, want, "offset {offset} len {len}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_avx2_add_run_matches_the_portable_body() {
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!("skipping the AVX2 add_run check: this CPU lacks AVX2");
+            return;
+        }
+        avx2_matches_the_portable_add_run::<u32>();
+        avx2_matches_the_portable_add_run::<u64>();
+    }
 
     /// A `regions × slots` state with lap `lap`, endurance `endurance` and
     /// pre-wear drawn from `seed` (xorshift) below `max_pre`; each region's
