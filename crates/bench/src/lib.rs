@@ -21,12 +21,15 @@
 //! - `SRBSG_BENCH_QUICK=1` — fewer repetitions and, where a suite has one,
 //!   a smaller platform (CI smoke mode);
 //! - `SRBSG_BENCH_JSON_DIR=DIR` — write the `BENCH_*.json` summaries into
-//!   `DIR` (created if missing) instead of the working directory;
+//!   `DIR` (created if missing) instead of the working directory. A
+//!   relative `DIR` is taken from the workspace root, not from
+//!   `cargo bench`'s working directory `crates/bench/`;
 //! - `SRBSG_BENCH_ASSERT=1` — fail the run when a suite's gate fails.
 
+use std::ffi::OsStr;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
@@ -251,15 +254,17 @@ fn number(v: f64) -> String {
     }
 }
 
-/// Write `summary` as `file` under `SRBSG_BENCH_JSON_DIR`, or in the
-/// working directory when it is unset, stamped with this host, and print
-/// where it went. Returns the host it was stamped with, so a suite's gate
-/// reads the core count the file records.
+/// Write `summary` as `file` under `SRBSG_BENCH_JSON_DIR` (a relative
+/// one is taken from the workspace root), or in the working directory
+/// when it is unset, stamped with this host, and print where it went.
+/// Returns the host it was stamped with, so a suite's gate reads the
+/// core count the file records.
 pub fn write_summary(file: &str, summary: &Summary) -> Host {
     let path = match std::env::var_os("SRBSG_BENCH_JSON_DIR") {
         Some(dir) => {
+            let dir = summary_dir(&dir);
             std::fs::create_dir_all(&dir).expect("create the bench summary directory");
-            PathBuf::from(dir).join(file)
+            dir.join(file)
         }
         None => PathBuf::from(file),
     };
@@ -267,6 +272,19 @@ pub fn write_summary(file: &str, summary: &Summary) -> Host {
     std::fs::write(&path, summary.to_json(&host)).expect("write bench summary");
     println!("[wrote {}]", path.display());
     host
+}
+
+/// The directory `SRBSG_BENCH_JSON_DIR=dir` names: `dir` itself when
+/// absolute, else `dir` under the workspace root, so
+/// `SRBSG_BENCH_JSON_DIR=results` means the workspace's `results/` under
+/// `cargo bench` (working directory `crates/bench/`) and `cargo run`
+/// alike.
+fn summary_dir(dir: &OsStr) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    root.join(dir)
 }
 
 /// Median over `reps` timed calls of `f(rep)` of `units` per second:
@@ -325,6 +343,17 @@ mod tests {
         assert_eq!(revision(Some("0123abc\n"), None), "0123abc");
         assert_eq!(revision(None, Some(" M src/lib.rs\n")), "unknown");
         assert_eq!(revision(Some(""), Some("")), "unknown");
+    }
+
+    #[test]
+    fn a_relative_summary_dir_is_taken_from_the_workspace_root() {
+        let root = summary_dir(OsStr::new(""));
+        assert!(root.join("Cargo.toml").is_file() && root.join("crates/bench").is_dir());
+        assert_eq!(summary_dir(OsStr::new("results")), root.join("results"));
+        assert_eq!(
+            summary_dir(OsStr::new("/tmp/bench-json")),
+            Path::new("/tmp/bench-json")
+        );
     }
 
     #[test]

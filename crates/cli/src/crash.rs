@@ -33,7 +33,6 @@
 //! Trials run on `--jobs N` workers; the table and `results/crash.csv`
 //! are byte-identical for any `N`.
 
-use crate::chaos::AckLedger;
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
@@ -43,6 +42,7 @@ use srbsg_pcm::{LineData, MemoryController, PcmError, TimingModel};
 use srbsg_persist::{
     write_crashable, CheckpointPolicy, CrashMode, CrashPlan, Journaled, JournaledScheme,
 };
+use srbsg_server::AckLedger;
 use srbsg_wearlevel::{MultiWaySr, Rbsg, SecurityRefresh, StartGap, TwoLevelSr};
 use std::collections::HashSet;
 

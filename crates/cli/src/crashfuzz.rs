@@ -22,7 +22,7 @@
 //! so the table and `results/crashfuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
-use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, AckLedger, FUZZ_BANKS};
+use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, FUZZ_BANKS};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
@@ -31,6 +31,7 @@ use srbsg_core::SecurityRbsg;
 use srbsg_pcm::{MemoryController, MultiBankSystem, PcmError};
 use srbsg_persist::{CheckpointPolicy, CrashMode, CrashPlan, Journaled};
 use srbsg_serve::{FrontEnd, Op, Rejected, Request};
+use srbsg_server::AckLedger;
 
 /// Seed base of the fuzz banks.
 const SEED_BASE: u64 = 0xC0FF_EE00;

@@ -29,12 +29,7 @@
 //!             stack under load: short writes, transient EIO, ENOSPC,
 //!             fsync lies, rename failures, bit rot — with retry healing,
 //!             scrub healing, read-only degradation, equivalence checks
-//!   servebin  Real-process chaos harness for the srbsg-server binary:
-//!             malformed-frame fuzz, SIGKILL + SIGTERM mid-load with
-//!             restart, zero-lost-acked-writes audit
-//!             (requires the srbsg-server/srbsg-loadgen binaries to be
-//!             built; not part of `all`)
-//!   all       Everything above except servebin
+//!   all       Everything above
 //! ```
 //!
 //! `--quick` shrinks the platform (2^18 lines, 10^6 endurance) so the whole
@@ -70,7 +65,6 @@ mod normal;
 mod overhead;
 mod perf;
 mod serve;
-mod servebin;
 mod storagefuzz;
 mod table;
 
@@ -170,7 +164,6 @@ fn main() {
         "crash" => crash::run(&opts),
         "crashfuzz" => crashfuzz::run(&opts),
         "storagefuzz" => storagefuzz::run(&opts),
-        "servebin" => servebin::run(&opts),
         "all" => {
             fig11::run(&opts);
             fig12::run(&opts);
@@ -197,7 +190,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments <fig11|fig12|fig13|fig14|fig15|fig16|overhead|perf|detect|normal|ablation|faults|serve|crash|crashfuzz|storagefuzz|servebin|all> \
+        "usage: experiments <fig11|fig12|fig13|fig14|fig15|fig16|overhead|perf|detect|normal|ablation|faults|serve|crash|crashfuzz|storagefuzz|all> \
          [--quick] [--seeds N] [--out DIR] [--jobs N] [--split-trial]"
     );
     std::process::exit(2);

@@ -27,7 +27,6 @@
 //! on the device, whatever the chaos. The replays, the table, and
 //! `results/serve.csv` are byte-identical for any `--jobs N`.
 
-use crate::chaos::AckLedger;
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::SmallRng;
@@ -35,6 +34,7 @@ use rand::{RngExt, SeedableRng};
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
 use srbsg_serve::{percentile_ns, FrontEnd, Op, Rejected, Request, ServeConfig, ServeStats};
+use srbsg_server::AckLedger;
 use srbsg_workloads::{shard_seed, TraceGenerator, WorkloadSpec};
 
 const BANKS: usize = 8;

@@ -41,7 +41,7 @@
 //! so the table and `results/storagefuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
-use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, AckLedger, FUZZ_BANKS};
+use crate::chaos::{fuzz_front_end, fuzz_trace, serve_cfg, FUZZ_BANKS};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
@@ -53,8 +53,8 @@ use srbsg_persist::{
 };
 use srbsg_serve::{FrontEnd, Op, Rejected, Request};
 use srbsg_server::{
-    checkpoint_with_healing, commit_with_healing, restore, CommitStamp, DiskShelf, RetryPolicy,
-    SaveOutcome, ServerScheme, SHELF_LOGS, SHELF_SLOTS,
+    checkpoint_with_healing, commit_with_healing, restore, AckLedger, CommitStamp, DiskShelf,
+    RetryPolicy, SaveOutcome, ServerScheme, SHELF_LOGS, SHELF_SLOTS,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

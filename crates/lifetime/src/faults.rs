@@ -18,13 +18,11 @@
 //!   identically to the exact path, while latency is amortized
 //!   analytically.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 use srbsg_attacks::RepeatedAddressAttack;
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{DegradationReport, FaultConfig, MemoryController, PcmBank};
 
-use crate::srbsg::{finish, SrbsgParams};
+use crate::srbsg::{finish, RaaCore, SrbsgParams, StaySink};
 use crate::{Lifetime, PcmParams};
 
 /// The degradation timeline of one run, in attacker-visible units.
@@ -95,102 +93,46 @@ pub fn srbsg_raa_degraded_exact(
     }
 }
 
-/// Round-level fast-forward RAA engine over a fault-injected bank.
+/// The round-level RAA engine's sink over a fault-injected bank.
 ///
-/// The deposit pattern is the ideal engine's (`srbsg_raa_lifetime`): per
-/// outer round the hammered address stays in two key-random sub-regions,
-/// parking on one slot per inner rotation lap. Here every deposit lands in
-/// the real [`PcmBank`] via `add_wear`, so per-line endurance draws,
-/// transient schedules, ECP consumption, and spare-line retirement all
-/// fire exactly as they would write-by-write; only latency is amortized
-/// (via [`finish`]). Milestones are timestamped at round granularity.
-struct DegradedRaaEngine {
-    params: PcmParams,
-    cfg: SrbsgParams,
-    rng: SmallRng,
+/// The deposits are the ideal engine's (`srbsg_raa_lifetime`, the same
+/// `RaaCore` and RNG stream): per outer round the hammered address stays
+/// in two key-random sub-regions, parking on one slot per inner rotation
+/// lap. Here every lap-sized quantum lands in the real [`PcmBank`] via
+/// `add_wear`, so per-line endurance draws, transient schedules, ECP
+/// consumption, and spare-line retirement all fire exactly as they would
+/// write-by-write; only latency is amortized (via [`finish`]).
+struct BankSink {
     bank: PcmBank,
-    enc_p: srbsg_feistel::FeistelNetwork,
-    total_writes: u128,
-    la: u64,
+    /// Slots per sub-region (`n_r + 1`).
+    slots: u64,
+    /// Writes per inner rotation lap (`(n_r+1)·ψ_in`).
+    lap: u64,
 }
 
-impl DegradedRaaEngine {
-    fn new(params: PcmParams, cfg: SrbsgParams, fault_cfg: FaultConfig, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let enc_p = srbsg_feistel::FeistelNetwork::random(&mut rng, params.width(), cfg.stages);
-        let n_r = params.lines / cfg.sub_regions;
-        let slots = cfg.sub_regions * (n_r + 1);
-        Self {
-            params,
-            cfg,
-            rng,
-            bank: PcmBank::with_faults(slots, params.endurance, params.timing, fault_cfg),
-            enc_p,
-            total_writes: 0,
-            la: 0,
-        }
-    }
-
-    fn n_r(&self) -> u64 {
-        self.params.lines / self.cfg.sub_regions
-    }
-
-    /// Deposit `writes` hammer writes into `region` in lap-sized quanta
-    /// from a random entry slot; each full lap also deposits one write of
-    /// inner-rotation background on every slot of the region.
-    fn deposit_stay(&mut self, region: u64, mut writes: u64) {
-        let n_r = self.n_r();
-        let slots = n_r + 1;
-        let lap = slots * self.cfg.inner_interval;
-        let mut slot = self.rng.random_range(0..slots);
+impl StaySink for BankSink {
+    /// One quantum per slot from `entry` on; each full lap also deposits
+    /// one write of inner-rotation background on every slot of the region.
+    fn stay(&mut self, region: u64, entry: u64, mut writes: u64) -> (u64, bool) {
+        let base = region * self.slots;
+        let mut slot = entry;
+        let mut deposited = 0;
         while writes > 0 && !self.bank.failed() {
-            let deposit = writes.min(lap);
-            self.bank.add_wear(region * slots + slot, deposit);
-            self.total_writes += deposit as u128;
-            if deposit == lap {
-                for s in 0..slots {
-                    self.bank.add_wear(region * slots + s, 1);
+            let deposit = writes.min(self.lap);
+            self.bank.add_wear(base + slot, deposit);
+            deposited += deposit;
+            if deposit == self.lap {
+                for s in 0..self.slots {
+                    self.bank.add_wear(base + s, 1);
                     if self.bank.failed() {
                         break;
                     }
                 }
             }
             writes -= deposit;
-            slot = (slot + 1) % slots;
+            slot = (slot + 1) % self.slots;
         }
-    }
-
-    /// Advance one outer DFN round; returns false once the bank failed.
-    fn round(&mut self) -> bool {
-        use srbsg_feistel::AddressPermutation as _;
-        if self.bank.failed() {
-            return false;
-        }
-        let n = self.params.lines;
-        let n_r = self.n_r();
-        let round_writes = n * self.cfg.outer_interval;
-        let enc_c = srbsg_feistel::FeistelNetwork::random(
-            &mut self.rng,
-            self.params.width(),
-            self.cfg.stages,
-        );
-        let ia_p = self.enc_p.encrypt(self.la);
-        let ia_c = enc_c.encrypt(self.la);
-        let flip = self.rng.random_range(0.0..1.0f64);
-        let mut w1 = (round_writes as f64 * flip) as u64;
-        let mut w2 = round_writes - w1;
-        let cycle_len = self.rng.random_range(1..=n);
-        if self.rng.random_range(0..cycle_len) == 0 {
-            let parked_writes = (cycle_len * self.cfg.outer_interval).min(round_writes);
-            let taken1 = w1.min(parked_writes);
-            w1 -= taken1;
-            w2 -= (parked_writes - taken1).min(w2);
-            self.total_writes += parked_writes as u128;
-        }
-        self.deposit_stay(ia_p / n_r, w1);
-        self.deposit_stay(ia_c / n_r, w2);
-        self.enc_p = enc_c;
-        !self.bank.failed()
+        (deposited, self.bank.failed())
     }
 }
 
@@ -205,17 +147,28 @@ pub fn srbsg_raa_degraded_lifetime(
     seed: u64,
     max_writes: u128,
 ) -> DegradationLifetime {
-    let mut eng = DegradedRaaEngine::new(*params, *cfg, *fault_cfg, seed);
+    let slots = params.lines / cfg.sub_regions + 1;
+    let sink = BankSink {
+        bank: PcmBank::with_faults(
+            cfg.sub_regions * slots,
+            params.endurance,
+            params.timing,
+            *fault_cfg,
+        ),
+        slots,
+        lap: slots * cfg.inner_interval,
+    };
+    let mut eng = RaaCore::with_sink(*params, *cfg, seed, sink);
     let mut first_correctable = None;
     let mut first_retirement = None;
     loop {
         let alive = eng.round();
-        let report = eng.bank.degradation_report();
+        let report = eng.sink.bank.degradation_report();
         if first_correctable.is_none() && report.first_correctable.is_some() {
-            first_correctable = Some(finish(&eng.params, &eng.cfg, eng.total_writes));
+            first_correctable = Some(finish(params, cfg, eng.total_writes));
         }
         if first_retirement.is_none() && report.first_retirement.is_some() {
-            first_retirement = Some(finish(&eng.params, &eng.cfg, eng.total_writes));
+            first_retirement = Some(finish(params, cfg, eng.total_writes));
         }
         if !alive || eng.total_writes >= max_writes {
             break;
@@ -224,8 +177,8 @@ pub fn srbsg_raa_degraded_lifetime(
     DegradationLifetime {
         first_correctable,
         first_retirement,
-        capacity_exhaustion: finish(&eng.params, &eng.cfg, eng.total_writes),
-        report: eng.bank.degradation_report(),
+        capacity_exhaustion: finish(params, cfg, eng.total_writes),
+        report: eng.sink.bank.degradation_report(),
     }
 }
 

@@ -112,12 +112,13 @@ impl StaySink for StreamSink {
 /// statistics are dominated by these lap-sized deposit quanta, which the
 /// engine preserves exactly. Generic over the [`StaySink`] so the
 /// lifetime (dense, failure-detecting) and distribution (streaming)
-/// engines consume one RNG stream and one deposit model.
-struct RaaCore<S: StaySink> {
+/// engines consume one RNG stream and one deposit model; the degraded
+/// engine (`faults.rs`) is a third sink, over a fault-injected bank.
+pub(crate) struct RaaCore<S: StaySink> {
     params: PcmParams,
     cfg: SrbsgParams,
     rng: SmallRng,
-    sink: S,
+    pub(crate) sink: S,
     /// The hammered LA's image under the previous round's keys. The
     /// engine translates exactly one pinned address per key, and each
     /// round's `enc_c` becomes the next round's `enc_p` — so caching the
@@ -125,7 +126,7 @@ struct RaaCore<S: StaySink> {
     /// work per round, bit-identically: the constructor still draws the
     /// initial network from the same RNG position.
     ia_p: u64,
-    total_writes: u128,
+    pub(crate) total_writes: u128,
     failed: bool,
     la: u64,
 }
@@ -146,7 +147,7 @@ impl RaaEngine {
 }
 
 impl<S: StaySink> RaaCore<S> {
-    fn with_sink(params: PcmParams, cfg: SrbsgParams, seed: u64, sink: S) -> Self {
+    pub(crate) fn with_sink(params: PcmParams, cfg: SrbsgParams, seed: u64, sink: S) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let la = 0;
         let enc_p = FeistelNetwork::random(&mut rng, params.width(), cfg.stages);
@@ -182,7 +183,7 @@ impl<S: StaySink> RaaCore<S> {
     }
 
     /// Advance one outer DFN round; returns false once the bank failed.
-    fn round(&mut self) -> bool {
+    pub(crate) fn round(&mut self) -> bool {
         if self.failed {
             return false;
         }

@@ -1,5 +1,5 @@
 //! Transport abstraction (TCP or Unix-domain sockets) and a small
-//! blocking request/response client used by the harness, the tests, and
+//! blocking request/response client used by the tests and
 //! the load generator's control path.
 
 use std::io::{self, Read, Write};

@@ -48,7 +48,7 @@
 //! has grown to the size of the device image, the commit writes a full
 //! checkpoint instead (dual-slot atomic rename) and empties the log.
 //! `WriteOk` on the wire therefore implies the write is recoverable, which
-//! is exactly the invariant the chaos harness audits across `SIGKILL`.
+//! is exactly the invariant the kill–restart tests audit across `SIGKILL`.
 //!
 //! # Drain state machine
 //!

@@ -26,8 +26,8 @@
 //!   loop, lets every decoded round finish, checkpoints, and exits 0;
 //! * an **auditing load generator** ([`loadgen`]): open-loop seeded
 //!   traffic that retries writes until acknowledged and records exactly
-//!   which tags were acked vs left unresolved, so the chaos harness can
-//!   prove zero acknowledged writes were lost across kill–restart cycles.
+//!   which tags were acked vs left unresolved, so [`AckLedger`] can prove
+//!   zero acknowledged writes were lost across kill–restart cycles.
 
 pub mod client;
 pub mod engine;
@@ -38,7 +38,7 @@ pub mod shelf;
 
 pub use client::{Client, Endpoint, Listener, Stream};
 pub use engine::{boot, restore, run, BootReport, ServerConfig, ServerScheme};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
+pub use loadgen::{run_load, AckLedger, LoadConfig, LoadReport};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, ErrCode, FrameError,
     FrameReader, RequestFrame, ResponseFrame, StatsWire, WireRequest, WireResponse,

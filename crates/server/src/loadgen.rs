@@ -1,7 +1,8 @@
 //! Open-loop load generator with write-loss accounting.
 //!
-//! One invocation drives one *phase* of load (the chaos harness runs
-//! several phases around kills and restarts). Each connection runs on its
+//! One invocation drives one *phase* of load (the kill–restart test in
+//! `tests/restart_equivalence.rs` runs several phases around kills and
+//! restarts). Each connection runs on its
 //! own thread, issues a seeded deterministic request mix at a configured
 //! pace with a bounded pipelining window, and — the part the audit relies
 //! on — **retries every write until it is acknowledged**, reconnecting
@@ -23,13 +24,13 @@
 //!   unresolved tag. Anything else — in particular an *older* acked tag —
 //!   is a lost acknowledged write.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
-use srbsg_serve::{backoff_ns, percentile_ns, ServeConfig};
+use srbsg_serve::{backoff_ns, percentile_ns, Rejected, ServeConfig, Served};
 use srbsg_workloads::splitmix64;
 
 use crate::client::{read_response, Endpoint};
@@ -198,6 +199,89 @@ impl LoadReport {
         rep.reconnects = get("reconnects");
         rep.elapsed = Duration::from_micros(get("elapsed_us"));
         Ok(rep)
+    }
+}
+
+/// The lost-ack oracle: which value each address must read back after
+/// the chaos.
+///
+/// A harness records every acknowledged write with [`AckLedger::ack`]
+/// (the last ack of an address wins), drops an address whose line a
+/// never-acknowledged write may have clobbered with [`AckLedger::forget`]
+/// ([`AckLedger::settle`] picks between the two from a front-end
+/// completion), and notes writes still in flight at a kill with
+/// [`AckLedger::unresolved`]. A *phase* orders the acks and in-flight
+/// writes of harnesses that run several load phases against one device
+/// ([`AckLedger::add_report`] takes one [`LoadReport`] per phase);
+/// single-phase harnesses pass 0. [`AckLedger::audit`] then reads back
+/// every acknowledged address: it must hold its last acked value, or an
+/// unresolved value from the last ack's phase or a later one (a write
+/// the device applied without its ack reaching the client). Anything
+/// else, an untagged line included, is a lost acknowledged write.
+#[derive(Debug, Default)]
+pub struct AckLedger {
+    /// Last acknowledged value per address, with its phase.
+    acked: BTreeMap<u64, (LineData, usize)>,
+    /// Never-acknowledged values the device may hold, with their phases.
+    unresolved: BTreeMap<u64, Vec<(LineData, usize)>>,
+}
+
+impl AckLedger {
+    /// Record an acknowledged write; it supersedes any earlier ack of `la`.
+    pub fn ack(&mut self, la: u64, data: LineData, phase: usize) {
+        self.acked.insert(la, (data, phase));
+    }
+
+    /// A write reached the device but was never acknowledged: the line is
+    /// indeterminate, so `la` leaves the audit until its next ack.
+    pub fn forget(&mut self, la: u64) {
+        self.acked.remove(&la);
+        self.unresolved.remove(&la);
+    }
+
+    /// Settle a single-phase harness's write of `data` to `la` by its
+    /// front-end `result`: an ack is recorded, a rejection that touched the
+    /// device forgets `la`, and one refused before reaching the device
+    /// changes nothing.
+    pub fn settle(&mut self, la: u64, data: LineData, result: &Result<Served, Rejected>) {
+        match result {
+            Ok(_) => self.ack(la, data, 0),
+            Err(r) if r.touched_device() => self.forget(la),
+            Err(_) => {}
+        }
+    }
+
+    /// Note a write that was in flight at a kill: the device may hold it.
+    pub fn unresolved(&mut self, la: u64, data: LineData, phase: usize) {
+        self.unresolved.entry(la).or_default().push((data, phase));
+    }
+
+    /// Record load phase `phase`: its last acknowledged tag per address
+    /// and every tag it left unresolved. Add phases in the order they ran.
+    pub fn add_report(&mut self, report: &LoadReport, phase: usize) {
+        for (&la, &tag) in &report.acked {
+            self.ack(la, LineData::Mixed(tag), phase);
+        }
+        for (&la, tags) in &report.unresolved {
+            for &tag in tags {
+                self.unresolved(la, LineData::Mixed(tag), phase);
+            }
+        }
+    }
+
+    /// Read back every acknowledged address through `read`, in address
+    /// order. Returns `(audited, lost)`.
+    pub fn audit(&self, mut read: impl FnMut(u64) -> LineData) -> (u64, u64) {
+        let mut lost = 0u64;
+        for (&la, &(data, phase)) in &self.acked {
+            let got = read(la);
+            let in_flight = self
+                .unresolved
+                .get(&la)
+                .is_some_and(|u| u.iter().any(|&(d, p)| d == got && p >= phase));
+            lost += u64::from(got != data && !in_flight);
+        }
+        (self.acked.len() as u64, lost)
     }
 }
 
@@ -495,5 +579,112 @@ mod tests {
         }
         let hits = (0..1000).filter(|_| a.chance(0.3)).count();
         assert!((200..400).contains(&hits), "chance(0.3) gave {hits}/1000");
+    }
+
+    /// Audit a ledger against a device holding `held` at every address.
+    fn audit_holding(ledger: &AckLedger, held: LineData) -> (u64, u64) {
+        ledger.audit(|_| held)
+    }
+
+    #[test]
+    fn the_last_ack_wins() {
+        let mut l = AckLedger::default();
+        l.ack(7, LineData::Mixed(1), 0);
+        l.ack(7, LineData::Mixed(2), 0);
+        assert_eq!(audit_holding(&l, LineData::Mixed(2)), (1, 0));
+        assert_eq!(audit_holding(&l, LineData::Mixed(1)), (1, 1));
+    }
+
+    #[test]
+    fn forget_drops_an_address_until_its_next_ack() {
+        let mut l = AckLedger::default();
+        l.ack(7, LineData::Mixed(1), 0);
+        l.forget(7);
+        assert_eq!(audit_holding(&l, LineData::Mixed(9)), (0, 0));
+        l.ack(7, LineData::Mixed(3), 0);
+        assert_eq!(audit_holding(&l, LineData::Mixed(3)), (1, 0));
+        assert_eq!(audit_holding(&l, LineData::Mixed(1)), (1, 1));
+    }
+
+    #[test]
+    fn a_rejection_forgets_the_ack_only_if_it_touched_the_device() {
+        use srbsg_pcm::PcmError;
+        let (acked, rejected) = (LineData::Mixed(1), LineData::Mixed(2));
+        let cases = [
+            (Rejected::QueueFull { bank: 0, depth: 4 }, false),
+            (
+                Rejected::DeadlineExceeded {
+                    bank: 0,
+                    deadline_ns: 10,
+                    ready_ns: 20,
+                    attempts: 0,
+                },
+                false,
+            ),
+            (
+                Rejected::DeadlineExceeded {
+                    bank: 0,
+                    deadline_ns: 10,
+                    ready_ns: 20,
+                    attempts: 2,
+                },
+                true,
+            ),
+            (Rejected::BankQuarantined { bank: 0 }, false),
+            (
+                Rejected::RetriesExhausted {
+                    bank: 0,
+                    attempts: 4,
+                },
+                true,
+            ),
+            (Rejected::ReadOnly, false),
+            (
+                Rejected::Fault(PcmError::AddressOutOfRange { la: 7, lines: 4 }),
+                false,
+            ),
+        ];
+        let served = Served {
+            bank: 0,
+            latency_ns: 5,
+            retries: 0,
+            data: None,
+        };
+        for (rej, touched) in cases {
+            let mut l = AckLedger::default();
+            l.settle(7, acked, &Ok(served));
+            l.settle(7, rejected, &Err(rej));
+            if touched {
+                // The line may hold the rejected value: not a lost ack.
+                assert_eq!(audit_holding(&l, rejected), (0, 0), "{rej:?}");
+            } else {
+                // Never reached the device: the ack still stands.
+                assert_eq!(audit_holding(&l, acked), (1, 0), "{rej:?}");
+                assert_eq!(audit_holding(&l, rejected), (1, 1), "{rej:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unresolved_value_counts_from_the_acks_phase_on() {
+        let mut l = AckLedger::default();
+        l.ack(7, LineData::Mixed(1), 1);
+        l.unresolved(7, LineData::Mixed(10), 0);
+        l.unresolved(7, LineData::Mixed(11), 1);
+        l.unresolved(7, LineData::Mixed(12), 2);
+        // Another address's in-flight write does not cover this one.
+        l.unresolved(8, LineData::Mixed(13), 2);
+        assert_eq!(audit_holding(&l, LineData::Mixed(11)), (1, 0));
+        assert_eq!(audit_holding(&l, LineData::Mixed(12)), (1, 0));
+        assert_eq!(audit_holding(&l, LineData::Mixed(10)), (1, 1));
+        assert_eq!(audit_holding(&l, LineData::Mixed(13)), (1, 1));
+    }
+
+    #[test]
+    fn an_untagged_line_is_lost() {
+        let mut l = AckLedger::default();
+        l.ack(7, LineData::Mixed(1), 0);
+        l.unresolved(7, LineData::Mixed(2), 0);
+        assert_eq!(audit_holding(&l, LineData::Zeros), (1, 1));
     }
 }

@@ -5,7 +5,7 @@
 //! but set an atomic flag; the accept loop, which blocks in `poll(2)` on
 //! the listener between accepts (`wait_readable`), checks it and starts
 //! the graceful drain. `SIGKILL` cannot be handled by design — surviving it
-//! is the persistence layer's job, which the chaos harness exercises by
+//! is the persistence layer's job, which the kill–restart tests exercise by
 //! sending real `SIGKILL`s to a real process.
 
 #![allow(missing_docs)]
@@ -16,6 +16,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub const SIGINT: i32 = 2;
 /// Graceful-shutdown request code sent by orchestrators.
 pub const SIGTERM: i32 = 15;
+/// Pause a process (the process tests pause a load generator with it).
+#[cfg(target_os = "linux")]
+pub const SIGSTOP: i32 = 19;
+/// Resume a process paused by [`SIGSTOP`].
+#[cfg(target_os = "linux")]
+pub const SIGCONT: i32 = 18;
+/// Pause a process (the process tests pause a load generator with it).
+#[cfg(not(target_os = "linux"))]
+pub const SIGSTOP: i32 = 17;
+/// Resume a process paused by [`SIGSTOP`].
+#[cfg(not(target_os = "linux"))]
+pub const SIGCONT: i32 = 19;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -95,9 +107,10 @@ pub(crate) fn wait_readable(fd: i32, timeout: std::time::Duration) -> std::io::R
     }
 }
 
-/// Send `sig` to `pid`. Used by the chaos harness to deliver `SIGTERM`
-/// to a child server (a real signal across a real process boundary;
-/// `SIGKILL` goes through `Child::kill`).
+/// Send `sig` to `pid`. Used by the process tests to deliver `SIGTERM`
+/// to a child server and `SIGSTOP`/`SIGCONT` to a load generator (real
+/// signals across a real process boundary; `SIGKILL` goes through
+/// `Child::kill`).
 pub fn send_signal(pid: u32, sig: i32) -> std::io::Result<()> {
     #[cfg(unix)]
     {

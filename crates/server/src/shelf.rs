@@ -128,7 +128,7 @@ impl BankShelf {
     }
 
     /// Rebuild a physical bank from the captured image. The bank is
-    /// reconstructed fault-free (the chaos harness injects process kills,
+    /// reconstructed fault-free (the kill–restart tests inject process kills,
     /// not cell faults): contents and wear counters match the capture.
     pub fn restore_bank(&self, endurance: u64, timing: srbsg_pcm::TimingModel) -> PcmBank {
         let mut bank = PcmBank::new(self.slots, endurance, timing);

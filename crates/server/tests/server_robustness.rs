@@ -6,115 +6,42 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
 use srbsg_persist::crc64;
 use srbsg_server::{
-    encode_request, os, Client, Endpoint, ErrCode, RequestFrame, ResponseFrame, WireRequest,
-    WireResponse,
+    encode_request, os, Client, ErrCode, RequestFrame, ResponseFrame, WireRequest, WireResponse,
 };
 
-struct TestServer {
-    child: Child,
-    endpoint: Endpoint,
-    dir: PathBuf,
-}
+#[path = "common/server.rs"]
+mod server;
 
-impl TestServer {
-    fn start(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("srbsg_rob_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Self::spawn(dir)
-    }
+use server::{Server, TempDir};
 
-    /// Boot a server on `dir`, recovering whatever shelf it holds.
-    fn spawn(dir: PathBuf) -> Self {
-        let sock = dir.join("s.sock");
-        let child = Command::new(env!("CARGO_BIN_EXE_srbsg-server"))
-            .args([
-                "--listen",
-                &format!("uds:{}", sock.display()),
-                "--data-dir",
-                dir.to_str().unwrap(),
-                "--banks",
-                "2",
-                "--width",
-                "5",
-                "--sub-regions",
-                "2",
-                "--idle-timeout-ms",
-                "600",
-                "--frame-timeout-ms",
-                "400",
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn srbsg-server");
-        let endpoint = Endpoint::Uds(sock);
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            if let Ok(mut c) = Client::connect(&endpoint, Duration::from_millis(200)) {
-                if c.ping().is_ok() {
-                    break;
-                }
-            }
-            assert!(Instant::now() < deadline, "server never came up");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        Self {
-            child,
-            endpoint,
-            dir,
-        }
-    }
+/// A 2-bank × 2^5-line device with short idle and mid-frame timeouts.
+const FLAGS: &[&str] = &[
+    "--banks",
+    "2",
+    "--width",
+    "5",
+    "--sub-regions",
+    "2",
+    "--idle-timeout-ms",
+    "600",
+    "--frame-timeout-ms",
+    "400",
+];
 
-    fn client(&self) -> Client {
-        Client::connect(&self.endpoint, Duration::from_secs(5)).expect("connect")
-    }
-
-    fn assert_alive(&self) {
-        self.client()
-            .ping()
-            .expect("server must still answer pings");
-    }
-
-    /// `SIGTERM` and wait: the drain must exit 0. The data directory
-    /// stays for a restart.
-    fn terminate(mut self) -> PathBuf {
-        os::send_signal(self.child.id(), os::SIGTERM).expect("SIGTERM");
-        let status = self.child.wait().expect("wait");
-        assert_eq!(status.code(), Some(0), "drain must exit 0");
-        std::mem::take(&mut self.dir)
-    }
-
-    fn stop(self) {
-        let _ = std::fs::remove_dir_all(self.terminate());
-    }
-
-    /// `SIGKILL` and reap. The data directory stays for a restart.
-    fn kill(mut self) -> PathBuf {
-        self.child.kill().expect("SIGKILL");
-        self.child.wait().expect("wait");
-        std::mem::take(&mut self.dir)
-    }
-}
-
-/// A test that fails mid-way must not leave its server running.
-impl Drop for TestServer {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
+/// Boot the test device on `dir` over a Unix socket.
+fn boot(dir: &Path) -> Server {
+    Server::uds(dir, FLAGS)
 }
 
 /// Send raw bytes, expect a `BadFrame` error response and then EOF.
-fn expect_bad_frame_then_close(server: &TestServer, bytes: &[u8], what: &str) {
+fn expect_bad_frame_then_close(server: &Server, bytes: &[u8], what: &str) {
     let mut c = server.client();
     c.send_raw(bytes).expect("send");
     match c.recv() {
@@ -154,7 +81,10 @@ fn valid_ping_bytes() -> Vec<u8> {
 
 #[test]
 fn malformed_inputs_get_typed_errors_and_never_kill_the_server() {
-    let server = TestServer::start("fuzz");
+    // Over TCP, the other tests' Unix socket aside: the frame decoder
+    // must hold on both transports.
+    let dir = TempDir::new("rob_fuzz");
+    let server = Server::tcp(&dir, FLAGS);
 
     // Class 1 — oversized length prefix: rejected from the prefix alone.
     expect_bad_frame_then_close(&server, &u32::MAX.to_le_bytes(), "oversized length");
@@ -200,12 +130,13 @@ fn malformed_inputs_get_typed_errors_and_never_kill_the_server() {
     assert!(c.write(3, srbsg_pcm::LineData::Mixed(7)).unwrap().is_ok());
     assert_eq!(c.read(3).unwrap().unwrap(), srbsg_pcm::LineData::Mixed(7));
 
-    server.stop();
+    server.sigterm();
 }
 
 #[test]
 fn slow_loris_and_idle_connections_are_closed() {
-    let server = TestServer::start("loris");
+    let dir = TempDir::new("rob_loris");
+    let server = boot(&dir);
 
     // Slow loris: dribble a frame forever — closed by the frame timeout.
     {
@@ -251,7 +182,7 @@ fn slow_loris_and_idle_connections_are_closed() {
     }
 
     server.assert_alive();
-    server.stop();
+    server.sigterm();
 }
 
 #[test]
@@ -261,7 +192,8 @@ fn sequential_connections_are_answered_without_an_accept_delay() {
     // loop's next wake-up. A loop that slept 5 ms between polls puts the
     // median round trip near 3 ms; the median, unlike a total, is not
     // moved by a few trips that other processes delayed.
-    let server = TestServer::start("accept");
+    let dir = TempDir::new("rob_accept");
+    let server = boot(&dir);
     server.assert_alive();
     let mut trips: Vec<Duration> = (0..40)
         .map(|_| {
@@ -279,12 +211,13 @@ fn sequential_connections_are_answered_without_an_accept_delay() {
         median < Duration::from_micros(1_500),
         "median connect-plus-ping round trip {median:?} (all: {trips:?})"
     );
-    server.stop();
+    server.sigterm();
 }
 
 #[test]
 fn out_of_range_addresses_are_typed_rejections() {
-    let server = TestServer::start("oor");
+    let dir = TempDir::new("rob_oor");
+    let server = boot(&dir);
     let mut c = server.client();
     match c.read(1 << 40).unwrap() {
         Err(WireResponse::Err {
@@ -295,7 +228,7 @@ fn out_of_range_addresses_are_typed_rejections() {
     }
     // The connection stays usable after a typed rejection.
     c.ping().expect("ping after rejection");
-    server.stop();
+    server.sigterm();
 }
 
 /// Requests in one pipelined window.
@@ -390,7 +323,8 @@ fn collect_window(c: &mut Client, frames: &[RequestFrame], draining: bool) -> Ve
 
 #[test]
 fn a_pipelined_window_gets_every_reply_and_survives_a_drain() {
-    let server = TestServer::start("window");
+    let dir = TempDir::new("rob_window");
+    let server = boot(&dir);
     let mut c = server.client();
     let mut ledger: BTreeMap<u64, LineData> = BTreeMap::new();
 
@@ -404,19 +338,19 @@ fn a_pipelined_window_gets_every_reply_and_survives_a_drain() {
     // answered, and the connection then closes cleanly.
     let frames = window(1 + WINDOW, 200);
     send_window(&mut c, &frames);
-    os::send_signal(server.child.id(), os::SIGTERM).expect("SIGTERM");
+    os::send_signal(server.pid(), os::SIGTERM).expect("SIGTERM");
     ledger.extend(collect_window(&mut c, &frames, true));
     let err = c.recv().expect_err("the drain closes the connection");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    let dir = server.terminate();
+    server.sigterm();
 
     // Every acked write survives the restart.
-    let server = TestServer::spawn(dir);
+    let server = boot(&dir);
     let mut c = server.client();
     for (la, data) in &ledger {
         assert_eq!(c.read(*la).unwrap().unwrap(), *data, "line {la}");
     }
-    server.stop();
+    server.sigterm();
 }
 
 /// Connections that pipeline at once in the concurrent tests.
@@ -445,7 +379,8 @@ fn conn_window(conn: u64, w: u64) -> Vec<RequestFrame> {
 #[test]
 fn concurrent_pipelined_connections_get_every_reply_and_survive_a_kill() {
     const WINDOWS: u64 = 40;
-    let server = TestServer::start("conns");
+    let dir = TempDir::new("rob_conns");
+    let server = boot(&dir);
     let endpoint = &server.endpoint;
     let ledgers: Vec<BTreeMap<u64, LineData>> = thread::scope(|s| {
         let conns: Vec<_> = (0..CONNS)
@@ -467,8 +402,8 @@ fn concurrent_pipelined_connections_get_every_reply_and_survive_a_kill() {
         conns.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let dir = server.kill();
-    let server = TestServer::spawn(dir);
+    server.sigkill();
+    let server = boot(&dir);
     let mut c = server.client();
     for (la, data) in ledgers.iter().flatten() {
         assert_eq!(c.read(*la).unwrap().unwrap(), *data, "line {la}");
@@ -477,13 +412,14 @@ fn concurrent_pipelined_connections_get_every_reply_and_survive_a_kill() {
         ledgers.iter().map(BTreeMap::len).sum::<usize>(),
         (CONNS * LINES_PER_CONN) as usize
     );
-    server.stop();
+    server.sigterm();
 }
 
 #[test]
 fn a_peer_that_stops_reading_does_not_stall_another_connection() {
     const BURST: u64 = 40_000;
-    let server = TestServer::start("stalled");
+    let dir = TempDir::new("rob_stalled");
+    let server = boot(&dir);
 
     // Connection A pipelines far more reads than the socket buffers can
     // hold replies for, and never reads a reply.
@@ -542,5 +478,5 @@ fn a_peer_that_stops_reading_does_not_stall_another_connection() {
     stalled.shutdown();
     sending.join().unwrap();
     server.assert_alive();
-    server.stop();
+    server.sigterm();
 }
